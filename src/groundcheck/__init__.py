@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pipeline import DetectionRequest, PipelineConfig, detect
 from .retrieval import ClaimEvidence, PackingBudget
-from .tokens import TokenCounter, budgeted_count, count_tokens
+from .tokens import TokenCounter, budgeted_count, count_tokens, span_counter
 
 __version__ = "0.1.0"
 
@@ -69,5 +69,6 @@ __all__ = [
     "detect",
     "filter_claims",
     "remote_backends",
+    "span_counter",
     "split_output_into_claims",
 ]

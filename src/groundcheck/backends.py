@@ -81,10 +81,11 @@ class MockEmbedder:
 
     @staticmethod
     def _embed_one(text: str) -> np.ndarray:
-        counts = np.zeros(EMBEDDING_DIM, dtype=np.float64)
         lowered = text.lower()
-        for i in range(len(lowered) - 2):
-            counts[_trigram_bucket(lowered[i : i + 3])] += 1.0
+        buckets = np.array(
+            [_trigram_bucket(lowered[i : i + 3]) for i in range(len(lowered) - 2)], dtype=np.intp
+        )
+        counts = np.bincount(buckets, minlength=EMBEDDING_DIM).astype(np.float64)
         norm = np.linalg.norm(counts)
         if norm == 0.0:
             return counts

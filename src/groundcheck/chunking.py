@@ -15,6 +15,12 @@ spans jointly cover every non-whitespace character of the input. With
 most ``o_max`` tokens so evidence is not lost at boundaries; claims use
 ``o_max`` = 0 because overlapping claims would double-count during
 aggregation.
+
+Every budget decision asks for the token count of a span of the input. The
+builtin counter tokenizes the text once and answers each span count by
+bisection over the token offsets (``tokens.span_counter``); a
+backend-supplied ``count_fn`` is called once per candidate span on the
+substring, which is slower.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional
 
 from .claims import Claim
 from .errors import ClaimOverflowError, ConfigError
-from .tokens import TokenCounter, count_tokens
+from .tokens import SpanCount, TokenCounter, count_tokens, span_counter
 
 # Coarse to fine. The empty string is the single-character fallback level.
 DEFAULT_SEPARATOR_HIERARCHY: tuple[tuple[str, ...], ...] = (
@@ -85,18 +91,18 @@ def _split_points(text: str, start: int, end: int, separators: tuple[str, ...]) 
     return [start + m.end() for m in re.finditer(pattern, text[start:end])]
 
 
-def _pack_characters(text, counter, start, end, s_max):
+def _pack_characters(count, start, end, s_max):
     """Fallback level: maximal prefixes of at most s_max tokens, via bisection."""
     spans = []
     pos = start
     while pos < end:
         lo, hi = pos + 1, end  # text[pos:lo] always fits (single char is <= 1 token)
-        if count_tokens(counter, text[pos:end]) <= s_max:
+        if count(pos, end) <= s_max:
             lo = end
         else:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if count_tokens(counter, text[pos:mid]) <= s_max:
+                if count(pos, mid) <= s_max:
                     lo = mid
                 else:
                     hi = mid
@@ -105,34 +111,34 @@ def _pack_characters(text, counter, start, end, s_max):
     return spans
 
 
-def _chunk_spans(text, counter, config, start, end, level):
+def _chunk_spans(text, count, config, start, end, level):
     """Recursive core: return ordered (start, end) spans of <= s_max tokens."""
     s_max = config.s_max
-    if count_tokens(counter, text[start:end]) <= s_max:
+    if count(start, end) <= s_max:
         return [(start, end)]
 
     separators = config.separator_hierarchy[level]
     if "" in separators:
-        return _pack_characters(text, counter, start, end, s_max)
+        return _pack_characters(count, start, end, s_max)
 
     cuts = _split_points(text, start, end, separators)
     bounds = [start] + [c for c in cuts if start < c < end] + [end]
     pieces = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     if len(pieces) == 1:
-        return _chunk_spans(text, counter, config, start, end, level + 1)
+        return _chunk_spans(text, count, config, start, end, level + 1)
 
     spans: list[tuple[int, int]] = []
     acc: Optional[tuple[int, int]] = None
     for ps, pe in pieces:
-        if count_tokens(counter, text[ps:pe]) > s_max:
+        if count(ps, pe) > s_max:
             if acc is not None:
                 spans.append(acc)
                 acc = None
-            spans.extend(_chunk_spans(text, counter, config, ps, pe, level + 1))
+            spans.extend(_chunk_spans(text, count, config, ps, pe, level + 1))
             continue
         if acc is None:
             acc = (ps, pe)
-        elif count_tokens(counter, text[acc[0]:pe]) <= s_max:
+        elif count(acc[0], pe) <= s_max:
             acc = (acc[0], pe)
         else:
             spans.append(acc)
@@ -150,7 +156,7 @@ def _trim(text: str, start: int, end: int) -> Optional[tuple[int, int]]:
     return (start, end) if start < end else None
 
 
-def _extend_with_overlap(text, counter, config, spans):
+def _extend_with_overlap(text, count, config, spans):
     """Pull each chunk's start back into its predecessor by <= o_max tokens.
 
     The extension may not push the chunk itself past s_max tokens and never
@@ -166,10 +172,7 @@ def _extend_with_overlap(text, counter, config, spans):
         best = hi
         while hi - lo >= 1:
             mid = (lo + hi) // 2
-            if (
-                count_tokens(counter, text[mid:pe]) <= config.o_max
-                and count_tokens(counter, text[mid:ce]) <= config.s_max
-            ):
+            if count(mid, pe) <= config.o_max and count(mid, ce) <= config.s_max:
                 best = mid
                 hi = mid
             else:
@@ -183,9 +186,14 @@ def _extend_with_overlap(text, counter, config, spans):
 
 def chunk_text(config: ChunkerConfig, counter: TokenCounter, text: str) -> list[Chunk]:
     """Split ``text`` into chunks of at most ``config.s_max`` tokens each."""
+    return _chunk_counted(config, text, span_counter(counter, text))
+
+
+def _chunk_counted(config: ChunkerConfig, text: str, count: SpanCount) -> list[Chunk]:
+    """chunk_text with ``count`` a span counter over ``text``."""
     if not text or text.isspace():
         return []
-    raw = _chunk_spans(text, counter, config, 0, len(text), 0)
+    raw = _chunk_spans(text, count, config, 0, len(text), 0)
     spans = []
     for s, e in raw:
         trimmed = _trim(text, s, e)
@@ -194,15 +202,9 @@ def chunk_text(config: ChunkerConfig, counter: TokenCounter, text: str) -> list[
     if not spans:
         return []
     if config.o_max > 0 and len(spans) > 1:
-        spans = _extend_with_overlap(text, counter, config, spans)
+        spans = _extend_with_overlap(text, count, config, spans)
     return [
-        Chunk(
-            text=text[s:e],
-            start=s,
-            end=e,
-            token_count=count_tokens(counter, text[s:e]),
-            index=i,
-        )
+        Chunk(text=text[s:e], start=s, end=e, token_count=count(s, e), index=i)
         for i, (s, e) in enumerate(spans)
     ]
 
@@ -247,7 +249,7 @@ def context_chunk_size(
 
 
 def chunk_context(
-    counter: TokenCounter,
+    count: SpanCount,
     document: str,
     claim_tokens: int,
     budget,
@@ -256,7 +258,9 @@ def chunk_context(
 ) -> list[Chunk]:
     """Chunk a context document with size calibrated to the claim length.
 
-    ``budget`` is a retrieval.PackingBudget. Raises ClaimOverflowError when
+    ``count`` is ``tokens.span_counter(counter, document)``: the pipeline
+    chunks one document at several sizes and tokenizes it once for all of
+    them. ``budget`` is a retrieval.PackingBudget. Raises ClaimOverflowError when
     the claim leaves no room for even a minimal chunk; the pipeline responds
     by truncating the claim and retrying.
     """
@@ -270,7 +274,7 @@ def chunk_context(
         c_max=c_max,
     )
     config = ChunkerConfig(s_max=c_size, o_max=budget.context_overlap)
-    return chunk_text(config, counter, document)
+    return _chunk_counted(config, document, count)
 
 
 def paragraph_chunks(counter: TokenCounter, text: str) -> list[Chunk]:

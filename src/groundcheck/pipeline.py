@@ -39,7 +39,7 @@ from .chunking import (
 from .claims import Claim, DEFAULT_FACTUAL_THRESHOLD, classify_factual, filter_claims
 from .errors import BackendError, ContractError
 from .retrieval import ClaimEvidence, PackingBudget, rank_chunks, select_k
-from .tokens import TokenCounter, apply_margin, budgeted_count, truncate_to_budget
+from .tokens import TokenCounter, apply_margin, budgeted_count, span_counter, truncate_to_budget
 
 DOC_SEPARATOR = "\n\n"
 CLAIM_BAND_TOKENS = 16
@@ -176,15 +176,16 @@ def detect(
             scoring_texts[claim.claim_index] = claim.text
             scoring_tokens[claim.claim_index] = tokens
 
-    # 3. Chunk the joined context once per claim-length band.
+    # 3. Tokenize the joined context once, then chunk it once per claim-length band.
     context, doc_spans = _join_context(request.context_documents)
     bands: dict[int, int] = {}
     for claim in kept:
         band = scoring_tokens[claim.claim_index] // CLAIM_BAND_TOKENS
         bands[band] = max(bands.get(band, 0), scoring_tokens[claim.claim_index])
+    context_count = span_counter(counter, context)
     band_chunks: dict[int, list[Chunk]] = {}
     for band, representative in sorted(bands.items()):
-        chunks = chunk_context(counter, context, representative, budget)
+        chunks = chunk_context(context_count, context, representative, budget)
         chunks = [
             replace(c, doc_index=_doc_index_for_span(doc_spans, c.start, c.end))
             for c in chunks
@@ -194,17 +195,23 @@ def detect(
     if all(not chunks for chunks in band_chunks.values()):
         warnings.append("context produced no chunks; factual claims scored 0.0")
 
-    # 4. Embed once per request, then rank and pack per claim.
+    # 4. Embed each distinct claim and chunk text once, in one call; then rank
+    # and pack per claim.
+    texts = [scoring_texts[c.claim_index] for c in kept]
+    for chunks in band_chunks.values():
+        texts.extend(c.text for c in chunks)
+    unique = list(dict.fromkeys(texts))
     try:
-        claim_vecs = backends.embedder.embed(
-            [scoring_texts[c.claim_index] for c in kept]
-        )
-        band_vecs = {
-            band: backends.embedder.embed([c.text for c in chunks]) if chunks else []
-            for band, chunks in band_chunks.items()
-        }
+        vectors = backends.embedder.embed(unique)
+        if len(vectors) != len(unique):
+            raise BackendError(f"{len(vectors)} vectors for {len(unique)} texts")
     except BackendError as exc:
         raise BackendError(f"embedding stage failed: {exc}") from exc
+    vector_of = dict(zip(unique, vectors))
+    claim_vecs = [vector_of[scoring_texts[c.claim_index]] for c in kept]
+    band_vecs = {
+        band: [vector_of[c.text] for c in chunks] for band, chunks in band_chunks.items()
+    }
 
     scored: list[tuple[Claim, float, Optional[int]]] = []
     for pos, claim in enumerate(kept):

@@ -78,20 +78,6 @@ class ClaimEvidence:
         return [idx for idx, _ in self.ranked[: self.selected_k]]
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between u and v; zero vectors compare as 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ContractError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        logger.warning("cosine of a zero vector defined as 0.0")
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def rank_chunks(
     claim_vec: np.ndarray, chunk_vecs: Sequence[np.ndarray]
 ) -> list[tuple[int, float]]:

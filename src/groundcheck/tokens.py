@@ -6,12 +6,17 @@ whitespace contributes nothing. Real subword tokenizers count differently,
 so budget checks multiply builtin counts by a safety margin (default 1.3)
 to stay conservative against a 512-token encoder window. Budgeted counts
 are used only for budgeting, never for reporting.
+
+The builtin rule is character-local: the tokens of any substring are exactly
+the whole-text tokens it intersects, clipped. So a text is tokenized once and
+every span count after that is two bisections (:func:`span_counter`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +69,34 @@ def count_tokens(counter: TokenCounter, text: str) -> int:
     return builtin_token_count(text)
 
 
+SpanCount = Callable[[int, int], int]
+
+
+def span_counter(counter: TokenCounter, text: str) -> SpanCount:
+    """``count(a, b) == count_tokens(counter, text[a:b])`` for ``0 <= a, b <= len(text)``.
+
+    The builtin counter tokenizes ``text`` once and answers each span by
+    bisection over the sorted token starts and ends. A backend-supplied
+    ``count_fn`` is called once per span, on the substring.
+    """
+    if counter.count_fn is not None:
+        count_fn = counter.count_fn
+        return lambda a, b: count_fn(text[a:b])
+    starts: list[int] = []
+    ends: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        starts.append(m.start())
+        ends.append(m.end())
+
+    def count(a: int, b: int) -> int:
+        # Tokens starting before b, minus those ending at or before a.
+        if a >= b:
+            return 0
+        return bisect_left(starts, b) - bisect_right(ends, a)
+
+    return count
+
+
 def budgeted_count(counter: TokenCounter, text: str) -> int:
     """ceil(count * safety_margin), used for window-budget checks only.
 
@@ -85,7 +118,9 @@ def apply_margin(counter: TokenCounter, raw_count: int) -> int:
 def truncate_to_budget(counter: TokenCounter, text: str, max_budgeted: int) -> str:
     """Longest prefix of ``text`` whose budgeted count fits ``max_budgeted``.
 
-    Token counts are monotone over prefixes, so binary search applies.
+    Binary search assumes counts never fall as a prefix grows. A subword
+    ``count_fn`` can break that, so the result is checked and shortened
+    until it fits.
     """
     if max_budgeted <= 0:
         return ""
@@ -98,4 +133,7 @@ def truncate_to_budget(counter: TokenCounter, text: str, max_budgeted: int) -> s
             lo = mid
         else:
             hi = mid
-    return text[:lo].rstrip()
+    out = text[:lo].rstrip()
+    while out and budgeted_count(counter, out) > max_budgeted:
+        out = out[:-1].rstrip()
+    return out

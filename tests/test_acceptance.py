@@ -24,7 +24,7 @@ from groundcheck.chunking import ChunkerConfig, chunk_context, chunk_text
 from groundcheck.cli import main as cli_main
 from groundcheck.pipeline import DetectionRequest, PipelineConfig, detect
 from groundcheck.retrieval import PackingBudget, rank_chunks, select_k
-from groundcheck.tokens import TokenCounter, budgeted_count, truncate_to_budget
+from groundcheck.tokens import TokenCounter, budgeted_count, span_counter, truncate_to_budget
 
 COUNTER = TokenCounter(safety_margin=1.0)
 
@@ -118,7 +118,7 @@ def test_criterion_3_packing_safety(capsys):
                 claim = truncate_to_budget(COUNTER, claim, max_claim)
                 claim_tokens = budgeted_count(COUNTER, claim)
 
-            chunks = chunk_context(COUNTER, context, claim_tokens, budget)
+            chunks = chunk_context(span_counter(COUNTER, context), context, claim_tokens, budget)
             if not chunks:
                 continue
             vecs = embedder.embed([c.text for c in chunks])

@@ -5,8 +5,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from groundcheck.backends import (
+    EMBEDDING_DIM,
     BackendDescriptor,
     ContainmentNLI,
     HeuristicClaimClassifier,
@@ -14,6 +16,7 @@ from groundcheck.backends import (
     RemoteClaimClassifier,
     RemoteEmbedder,
     RemoteNLI,
+    _trigram_bucket,
     builtin_backends,
     remote_call,
 )
@@ -55,6 +58,23 @@ def test_mock_embedder_trigram_counts():
 def test_mock_embedder_case_insensitive():
     u, v = MockEmbedder().embed(["Hello World", "hello world"])
     assert np.array_equal(u, v)
+
+
+def _reference_embedding(text):
+    """Per-trigram loop the bincount implementation must match bit for bit."""
+    counts = np.zeros(EMBEDDING_DIM, dtype=np.float64)
+    lowered = text.lower()
+    for i in range(len(lowered) - 2):
+        counts[_trigram_bucket(lowered[i : i + 3])] += 1.0
+    norm = np.linalg.norm(counts)
+    return counts if norm == 0.0 else counts / norm
+
+
+@given(st.text(max_size=300))
+def test_mock_embedder_matches_per_trigram_reference(text):
+    (vec,) = MockEmbedder().embed([text])
+    assert vec.dtype == np.float64
+    assert np.array_equal(vec, _reference_embedding(text))
 
 
 def test_builtin_backend_set():

@@ -14,9 +14,14 @@ from groundcheck.chunking import (
 )
 from groundcheck.errors import ClaimOverflowError, ConfigError
 from groundcheck.retrieval import PackingBudget
-from groundcheck.tokens import TokenCounter, count_tokens
+from groundcheck.tokens import TokenCounter, builtin_token_count, count_tokens, span_counter
 
 COUNTER = TokenCounter(safety_margin=1.0)
+# The builtin rule behind a backend-supplied count_fn: same counts, but the
+# chunker takes the slow path that counts each candidate substring.
+SLOW_COUNTER = TokenCounter(
+    kind="backend-supplied", safety_margin=1.3, count_fn=builtin_token_count
+)
 
 
 def assert_chunk_invariants(text, chunks, config):
@@ -105,6 +110,23 @@ def test_arbitrary_text_holds_invariants(text, s_max, o_max):
     assert_chunk_invariants(text, chunks, config)
 
 
+@pytest.mark.parametrize("s_max,o_max", [(20, 0), (60, 0), (60, 12), (30, 5)])
+def test_span_lookup_matches_substring_counting_on_documents(s_max, o_max):
+    rng = random.Random(2000 + s_max + o_max)
+    config = ChunkerConfig(s_max=s_max, o_max=o_max)
+    for _ in range(6):
+        text = gen.document(rng, rng.randint(50, 600))
+        assert chunk_text(config, COUNTER, text) == chunk_text(config, SLOW_COUNTER, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=300), st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=6))
+def test_span_lookup_matches_substring_counting_on_any_text(text, s_max, o_max):
+    for o in (0, min(o_max, s_max - 1)):
+        config = ChunkerConfig(s_max=s_max, o_max=o)
+        assert chunk_text(config, COUNTER, text) == chunk_text(config, SLOW_COUNTER, text)
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigError):
         ChunkerConfig(s_max=0)
@@ -145,7 +167,7 @@ def test_context_chunk_size_overflow():
 
 def test_chunk_context_small_document_is_one_chunk():
     doc = "A tiny document with ten tokens or so."
-    chunks = chunk_context(COUNTER, doc, 40, PackingBudget())
+    chunks = chunk_context(span_counter(COUNTER, doc), doc, 40, PackingBudget())
     assert len(chunks) == 1
     assert chunks[0].text == doc
 
@@ -154,7 +176,7 @@ def test_chunk_context_respects_calibrated_size():
     rng = random.Random(99)
     doc = gen.document(rng, 1200)
     budget = PackingBudget()
-    chunks = chunk_context(COUNTER, doc, 40, budget)
+    chunks = chunk_context(span_counter(COUNTER, doc), doc, 40, budget)
     assert len(chunks) > 1
     assert all(c.token_count <= 114 for c in chunks)
     config = ChunkerConfig(s_max=114, o_max=budget.context_overlap)

@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
+import gen
 from groundcheck.aggregation import (
     AggregationConfig,
     GROUNDED,
@@ -10,12 +12,12 @@ from groundcheck.aggregation import (
     NO_FACTUAL_CLAIMS,
     NON_FACTUAL_UNSCORED,
 )
-from groundcheck.backends import BackendSet, ContainmentNLI, builtin_backends
+from groundcheck.backends import BackendSet, ContainmentNLI, MockEmbedder, builtin_backends
 from groundcheck.chunking import ChunkerConfig
 from groundcheck.errors import BackendError, ContractError
-from groundcheck.pipeline import DetectionRequest, PipelineConfig, detect
+from groundcheck.pipeline import CLAIM_BAND_TOKENS, DetectionRequest, PipelineConfig, detect
 from groundcheck.retrieval import PackingBudget
-from groundcheck.tokens import TokenCounter
+from groundcheck.tokens import TokenCounter, budgeted_count
 
 CONTEXT = (
     "The northern lighthouse was built in 1882 on the basalt cliffs. "
@@ -194,6 +196,21 @@ def test_backend_failure_carries_stage():
         )
 
 
+def test_embedder_vector_count_mismatch_is_a_backend_error():
+    class ShortEmbedder:
+        def embed(self, texts):
+            return MockEmbedder().embed(texts)[:-1]
+
+    backends = BackendSet(
+        embedder=ShortEmbedder(), nli=ContainmentNLI(), claim_classifier=builtin_backends().claim_classifier
+    )
+    with pytest.raises(BackendError, match="embedding stage failed: 1 vectors for 2 texts"):
+        detect(
+            DetectionRequest(context_documents=(CONTEXT,), output_text="The lamp burned whale oil."),
+            backends=backends,
+        )
+
+
 def test_custom_theta_beta_flow_through():
     config = PipelineConfig(aggregation=AggregationConfig(beta=0.0, theta=0.9))
     verdict = detect(
@@ -208,3 +225,54 @@ def test_custom_theta_beta_flow_through():
     )
     # beta 0 averages the two claim scores; theta 0.9 tips it to hallucinated
     assert verdict.label == HALLUCINATED
+
+
+class RecordingEmbedder:
+    """MockEmbedder that records its calls; ``per_text`` embeds each text alone."""
+
+    def __init__(self, per_text=False):
+        self.inner = MockEmbedder()
+        self.per_text = per_text
+        self.calls = []
+
+    def embed(self, texts):
+        texts = list(texts)
+        self.calls.append(texts)
+        if self.per_text:
+            return [self.inner.embed([t])[0] for t in texts]
+        return self.inner.embed(texts)
+
+
+def test_detect_embeds_each_distinct_text_once_in_one_call():
+    # The document appears twice, so the joined context repeats its chunks;
+    # the two claims fall in different 16-token bands, so it is chunked twice.
+    doc = gen.document(random.Random(11), 700)
+    short = "Labadi sen tor ruke lim dus."
+    long = (
+        "Moke fodi ralsen guvi tor lim dus, ceba nipo rusa tevi moke limdus "
+        "sa te vi mo ke ral sen tor lim dus ba ce di fo gu la me."
+    )
+    config = PipelineConfig(claim_chunker=ChunkerConfig(s_max=32, o_max=0))
+    counter = config.counter
+    assert (
+        budgeted_count(counter, short) // CLAIM_BAND_TOKENS
+        != budgeted_count(counter, long) // CLAIM_BAND_TOKENS
+    )
+    request = DetectionRequest(context_documents=(doc, doc), output_text=short + "\n\n" + long)
+
+    verdicts = []
+    for per_text in (False, True):
+        embedder = RecordingEmbedder(per_text=per_text)
+        backends = BackendSet(
+            embedder=embedder,
+            nli=ContainmentNLI(),
+            claim_classifier=builtin_backends().claim_classifier,
+        )
+        verdict = detect(request, config, backends)
+        assert len(verdict.claim_verdicts) == 2
+        assert all(c.grounding_score is not None for c in verdict.claim_verdicts)
+        (texts,) = embedder.calls
+        assert len(texts) == len(set(texts))
+        assert short in texts and long in texts
+        verdicts.append(json.dumps(verdict.to_dict(), sort_keys=True))
+    assert verdicts[0] == verdicts[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groundcheck.errors import ConfigError, ContractError
-from groundcheck.retrieval import PackingBudget, cosine_similarity, rank_chunks, select_k
+from groundcheck.retrieval import PackingBudget, rank_chunks, select_k
 
 
 def brute_force_order(claim_vec, chunk_vecs):
@@ -25,24 +25,25 @@ def brute_force_order(claim_vec, chunk_vecs):
 
 def test_cosine_identity_and_orthogonality():
     v = np.array([0.3, 0.4, 0.5])
-    assert cosine_similarity(v, v) == pytest.approx(1.0)
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert rank_chunks(v, [v]) == [(0, pytest.approx(1.0))]
+    assert rank_chunks(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) == [(0, 0.0)]
 
 
 def test_cosine_value():
-    got = cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    ((_, got),) = rank_chunks(np.array([1.0, 1.0]), [np.array([1.0, 0.0])])
     assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
 def test_cosine_zero_vector_is_zero(caplog):
     with caplog.at_level("WARNING", logger="groundcheck.retrieval"):
-        assert cosine_similarity(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+        assert rank_chunks(np.zeros(3), [np.array([1.0, 2.0, 3.0])]) == [(0, 0.0)]
+        assert rank_chunks(np.array([1.0, 2.0, 3.0]), [np.zeros(3)]) == [(0, 0.0)]
     assert any("zero vector" in r.message for r in caplog.records)
 
 
 def test_cosine_dim_mismatch():
     with pytest.raises(ContractError):
-        cosine_similarity(np.ones(3), np.ones(4))
+        rank_chunks(np.ones(3), [np.ones(4)])
 
 
 def test_rank_single_chunk():

@@ -6,7 +6,9 @@ from groundcheck.tokens import (
     TokenCounter,
     apply_margin,
     budgeted_count,
+    builtin_token_count,
     count_tokens,
+    span_counter,
     truncate_to_budget,
 )
 
@@ -85,6 +87,23 @@ def test_budgeted_never_below_raw(text):
     assert budgeted_count(counter, text) >= count_tokens(counter, text)
 
 
+@given(st.text(max_size=40))
+def test_span_counter_matches_substring_count(text):
+    count = span_counter(TokenCounter(), text)
+    for a in range(len(text) + 1):
+        for b in range(a, len(text) + 1):
+            assert count(a, b) == builtin_token_count(text[a:b])
+
+
+def test_span_counter_calls_backend_count_fn_on_the_substring():
+    seen = []
+    counter = TokenCounter(
+        kind="backend-supplied", safety_margin=1.0, count_fn=lambda t: seen.append(t) or len(t)
+    )
+    assert span_counter(counter, "abcdef")(1, 4) == 3
+    assert seen == ["bcd"]
+
+
 def test_truncate_to_budget_fits_and_is_prefix():
     text = "one two three four five six seven eight nine ten"
     out = truncate_to_budget(COUNTER, text, 4)
@@ -96,3 +115,18 @@ def test_truncate_to_budget_fits_and_is_prefix():
 def test_truncate_to_budget_noop_when_fitting():
     assert truncate_to_budget(COUNTER, "a b c", 10) == "a b c"
     assert truncate_to_budget(COUNTER, "a b c", 0) == ""
+
+
+def test_truncate_to_budget_fits_with_non_monotone_count_fn():
+    # A subword tokenizer may count a word cut at the end of a text as more
+    # pieces than the same word followed by whitespace, so counts can fall as
+    # a prefix grows and the stripped bisection result can overflow.
+    def count_fn(text):
+        return len(text.split()) + (3 if text and not text[-1].isspace() else 0)
+
+    counter = TokenCounter(kind="backend-supplied", safety_margin=1.0, count_fn=count_fn)
+    text = " ".join(f"w{i}" for i in range(20))
+    for budget in range(1, 15):
+        out = truncate_to_budget(counter, text, budget)
+        assert text.startswith(out)
+        assert budgeted_count(counter, out) <= budget
