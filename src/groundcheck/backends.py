@@ -106,14 +106,22 @@ class ContainmentNLI:
     """
 
     def score(self, pairs: Sequence[tuple[str, str]]) -> list[EntailmentScores]:
+        # A request's pairs repeat each claim once per selected chunk and each
+        # chunk once per claim that selects it: tokenize every text once.
+        tokens: dict[str, set[str]] = {}
+
+        def content(text: str) -> set[str]:
+            if text not in tokens:
+                tokens[text] = content_tokens(text)
+            return tokens[text]
+
         out = []
         for premise, hypothesis in pairs:
-            hyp = content_tokens(hypothesis)
+            hyp = content(hypothesis)
             if not hyp:
                 p = 1.0
             else:
-                prem = content_tokens(premise)
-                p = len(hyp & prem) / len(hyp)
+                p = len(hyp & content(premise)) / len(hyp)
             out.append(EntailmentScores(p_entail=p, p_neutral=1.0 - p, p_contradict=0.0))
         return out
 
@@ -149,9 +157,6 @@ def builtin_backends() -> BackendSet:
 # Remote backends
 # ---------------------------------------------------------------------------
 
-MOCK_EMBEDDER = "mock-embedder"
-ORACLE_NLI = "oracle-nli"
-HEURISTIC_CLAIMS = "heuristic-claims"
 REMOTE = "remote"
 
 _BACKOFF_BASE_MS = 250

@@ -8,7 +8,8 @@ disagrees.
 
 Two scoring modes exist. ``pairwise`` (default) scores each selected chunk
 against the claim separately; ``packed`` joins the selected chunks, in
-document order, into one premise and scores once.
+document order, into one premise and scores once. Either way the pairs of
+every claim of a request go to the backend in a single call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chunking import Chunk
-from .claims import Claim
 from .errors import BackendError, ContractError
 from .retrieval import ClaimEvidence
 
@@ -49,59 +49,22 @@ class EntailmentScores:
             raise ContractError(f"entailment triple sums to {total}, expected 1")
 
 
-def score_pair(backend, premise: str, hypothesis: str) -> EntailmentScores:
-    """Score one premise/hypothesis pair with the given backend."""
-    try:
-        scores = backend.score([(premise, hypothesis)])
-    except BackendError:
-        raise
-    except Exception as exc:
-        raise BackendError(
-            f"NLI backend failed on pair (premise {len(premise)} chars, "
-            f"hypothesis {len(hypothesis)} chars): {exc}"
-        ) from exc
-    if len(scores) != 1:
-        raise BackendError(f"NLI backend returned {len(scores)} scores for 1 pair")
-    return scores[0]
+def claim_pairs(
+    mode: str, hypothesis: str, evidence: ClaimEvidence, chunks: Sequence[Chunk]
+) -> list[tuple[str, str]]:
+    """The (premise, hypothesis) pairs that score one claim.
 
-
-def _batch_score(backend, pairs: Sequence[tuple[str, str]]) -> list[EntailmentScores]:
-    try:
-        scores = backend.score(list(pairs))
-    except BackendError:
-        raise
-    except Exception as exc:
-        raise BackendError(f"NLI backend failed on a batch of {len(pairs)} pairs: {exc}") from exc
-    if len(scores) != len(pairs):
-        raise BackendError(
-            f"NLI backend returned {len(scores)} scores for {len(pairs)} pairs"
-        )
-    return scores
-
-
-def score_claim(
-    backend,
-    mode: str,
-    claim: Claim,
-    evidence: ClaimEvidence,
-    chunks: Sequence[Chunk],
-    hypothesis_text: str | None = None,
-) -> ClaimEvidence:
-    """Fill ``evidence.entailment`` for one claim.
-
-    ``hypothesis_text`` overrides the claim text when the pipeline had to
-    truncate an overlong claim for scoring; the claim object itself keeps
-    the original span.
+    Pairwise mode gives one pair per selected chunk, in rank order; packed
+    mode gives one pair whose premise joins the selected chunks in document
+    order. A truncated top chunk stands in for the full one either way.
     """
     if mode not in SCORING_MODES:
         raise ContractError(f"unknown scoring mode: {mode!r}")
     if evidence.selected_k < 1:
-        raise ContractError(f"claim {claim.claim_index} has no selected evidence")
-    hypothesis = hypothesis_text if hypothesis_text is not None else claim.text
+        raise ContractError(f"claim {evidence.claim_index} has no selected evidence")
 
-    selected = evidence.selected_chunk_indices()
     premises = []
-    for rank_pos, chunk_idx in enumerate(selected):
+    for rank_pos, chunk_idx in enumerate(evidence.selected_chunk_indices()):
         text = chunks[chunk_idx].text
         if rank_pos == 0 and evidence.truncated_top is not None:
             text = evidence.truncated_top
@@ -109,10 +72,32 @@ def score_claim(
 
     if mode == PACKED:
         joined = "\n".join(text for _, text in sorted(premises, key=lambda p: p[0]))
-        evidence.entailment = [score_pair(backend, joined, hypothesis)]
-        return evidence
+        return [(joined, hypothesis)]
+    return [(text, hypothesis) for _, text in premises]
 
-    evidence.entailment = _batch_score(
-        backend, [(text, hypothesis) for _, text in premises]
-    )
-    return evidence
+
+def score_claim(
+    backend, claims: Sequence[Sequence[tuple[str, str]]]
+) -> list[list[EntailmentScores]]:
+    """Score every claim of a request in one backend call.
+
+    ``claims`` holds each claim's pairs (see :func:`claim_pairs`); all pairs
+    go to ``backend.score`` at once, in claim order, and the scores come
+    back sliced per claim. No pairs, no call.
+    """
+    pairs = [pair for claim in claims for pair in claim]
+    if not pairs:
+        return [[] for _ in claims]
+    try:
+        scores = backend.score(pairs)
+    except BackendError:
+        raise
+    except Exception as exc:
+        raise BackendError(f"NLI backend failed on a batch of {len(pairs)} pairs: {exc}") from exc
+    if len(scores) != len(pairs):
+        raise BackendError(f"NLI backend returned {len(scores)} scores for {len(pairs)} pairs")
+    out, pos = [], 0
+    for claim in claims:
+        out.append(list(scores[pos : pos + len(claim)]))
+        pos += len(claim)
+    return out

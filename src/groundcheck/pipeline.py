@@ -2,11 +2,11 @@
 
 The stages, in order: split the output into claims; drop non-factual claims;
 chunk the joined context at a size calibrated to the claim lengths; embed,
-rank, and pack per-claim evidence under the token window; score each
-claim/evidence pair for entailment; aggregate into claim verdicts and a
-response verdict. Every claim of the output appears in the verdict — scored
-or filtered — with its character span, so findings can be traced back to the
-exact output text.
+rank, and pack per-claim evidence under the token window; score every
+claim/evidence pair of the request for entailment in one backend call;
+aggregate into claim verdicts and a response verdict. Every claim of the
+output appears in the verdict — scored or filtered — with its character
+span, so findings can be traced back to the exact output text.
 
 Deterministic backends make the whole pipeline deterministic: identical
 request and config produce an identical verdict.
@@ -178,10 +178,10 @@ def detect(
 
     # 3. Tokenize the joined context once, then chunk it once per claim-length band.
     context, doc_spans = _join_context(request.context_documents)
+    band_of = {idx: tokens // CLAIM_BAND_TOKENS for idx, tokens in scoring_tokens.items()}
     bands: dict[int, int] = {}
-    for claim in kept:
-        band = scoring_tokens[claim.claim_index] // CLAIM_BAND_TOKENS
-        bands[band] = max(bands.get(band, 0), scoring_tokens[claim.claim_index])
+    for idx, band in band_of.items():
+        bands[band] = max(bands.get(band, 0), scoring_tokens[idx])
     context_count = span_counter(counter, context)
     band_chunks: dict[int, list[Chunk]] = {}
     for band, representative in sorted(bands.items()):
@@ -196,7 +196,7 @@ def detect(
         warnings.append("context produced no chunks; factual claims scored 0.0")
 
     # 4. Embed each distinct claim and chunk text once, in one call; then rank
-    # and pack per claim.
+    # each band's chunks for all of its claims at once.
     texts = [scoring_texts[c.claim_index] for c in kept]
     for chunks in band_chunks.values():
         texts.extend(c.text for c in chunks)
@@ -208,20 +208,26 @@ def detect(
     except BackendError as exc:
         raise BackendError(f"embedding stage failed: {exc}") from exc
     vector_of = dict(zip(unique, vectors))
-    claim_vecs = [vector_of[scoring_texts[c.claim_index]] for c in kept]
-    band_vecs = {
-        band: [vector_of[c.text] for c in chunks] for band, chunks in band_chunks.items()
-    }
-
-    scored: list[tuple[Claim, float, Optional[int]]] = []
-    for pos, claim in enumerate(kept):
-        band = scoring_tokens[claim.claim_index] // CLAIM_BAND_TOKENS
-        chunks = band_chunks[band]
+    rankings: dict[int, list[tuple[int, float]]] = {}
+    for band, chunks in band_chunks.items():
         if not chunks:
-            scored.append((claim, 0.0, None))
+            continue
+        members = [idx for idx, b in band_of.items() if b == band]
+        ranked = rank_chunks(
+            [vector_of[scoring_texts[idx]] for idx in members],
+            [vector_of[c.text] for c in chunks],
+        )
+        rankings.update(zip(members, ranked))
+
+    # 5. Plan: pack every claim's evidence, then build its NLI pairs.
+    plans: list[tuple[Claim, Optional[ClaimEvidence], list[tuple[str, str]]]] = []
+    for claim in kept:
+        chunks = band_chunks[band_of[claim.claim_index]]
+        if not chunks:
+            plans.append((claim, None, []))
             continue
 
-        ranked = rank_chunks(claim_vecs[pos], band_vecs[band])
+        ranked = rankings[claim.claim_index]
         claim_tokens = scoring_tokens[claim.claim_index]
         ranked_budgets = [apply_margin(counter, chunks[idx].token_count) for idx, _ in ranked]
         selection = select_k(budget, claim_tokens, ranked_budgets)
@@ -244,25 +250,26 @@ def detect(
             truncated_top=truncated_top,
         )
         _assert_packing_safety(counter, budget, claim_tokens, evidence, chunks)
+        pairs = nli.claim_pairs(config.mode, scoring_texts[claim.claim_index], evidence, chunks)
+        plans.append((claim, evidence, pairs))
 
-        # 5. Score the claim against its evidence.
-        try:
-            evidence = nli.score_claim(
-                backends.nli,
-                config.mode,
-                claim,
-                evidence,
-                chunks,
-                hypothesis_text=scoring_texts[claim.claim_index],
-            )
-        except BackendError as exc:
-            raise BackendError(
-                f"NLI stage failed at claim {claim.claim_index} "
-                f"({len(scored)} of {len(kept)} claims already scored): {exc}"
-            ) from exc
+    # 6. Score every pair of the request in one backend call.
+    claim_pairs = [pairs for _, _, pairs in plans]
+    try:
+        claim_scores = nli.score_claim(backends.nli, claim_pairs)
+    except BackendError as exc:
+        raise BackendError(
+            f"NLI stage failed on {sum(map(len, claim_pairs))} pairs "
+            f"for {len(plans)} claims: {exc}"
+        ) from exc
 
-        # 6a. Reduce to the claim's grounding score.
-        probs = [s.p_entail for s in evidence.entailment]
+    # 7a. Reduce each claim's scores to its grounding score.
+    scored: list[tuple[Claim, float, Optional[int]]] = []
+    for (claim, evidence, _), scores in zip(plans, claim_scores):
+        if evidence is None:
+            scored.append((claim, 0.0, None))
+            continue
+        probs = [s.p_entail for s in scores]
         g = claim_score(probs)
         if config.mode == nli.PACKED:
             best_idx = evidence.ranked[0][0]
@@ -270,15 +277,14 @@ def detect(
             best_idx = evidence.selected_chunk_indices()[probs.index(max(probs))]
         scored.append((claim, g, best_idx))
 
-    # 6b. Aggregate into the response verdict.
+    # 7b. Aggregate into the response verdict.
     verdict_entries: dict[int, ClaimVerdict] = {
         idx: _filtered_verdict(c) for idx, c in filtered_out.items()
     }
     for claim, g, best_idx in scored:
         best_doc = None
         if best_idx is not None:
-            band = scoring_tokens[claim.claim_index] // CLAIM_BAND_TOKENS
-            best_doc = band_chunks[band][best_idx].doc_index
+            best_doc = band_chunks[band_of[claim.claim_index]][best_idx].doc_index
         verdict_entries[claim.claim_index] = ClaimVerdict(
             claim_index=claim.claim_index,
             text=claim.text,

@@ -64,46 +64,56 @@ class KSelection:
     top_chunk_budget: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimEvidence:
-    """Ranked chunks for one claim plus the entailment scores, once filled."""
+    """Ranked chunks for one claim and how many of them it selected."""
 
     claim_index: int
     ranked: list[tuple[int, float]]
     selected_k: int
     truncated_top: Optional[str] = None
-    entailment: Optional[list] = None
 
     def selected_chunk_indices(self) -> list[int]:
         return [idx for idx, _ in self.ranked[: self.selected_k]]
 
 
 def rank_chunks(
-    claim_vec: np.ndarray, chunk_vecs: Sequence[np.ndarray]
-) -> list[tuple[int, float]]:
-    """All chunks ordered by similarity descending, ties by ascending index."""
+    claim_vecs: Sequence[np.ndarray], chunk_vecs: Sequence[np.ndarray]
+) -> list[list[tuple[int, float]]]:
+    """Each claim's ranking of all chunks: similarity descending, ties by
+    ascending index.
+
+    The chunk matrix and its row norms are built once for all claims.
+    """
     if len(chunk_vecs) == 0:
         raise ContractError("rank_chunks requires at least one chunk vector")
-    claim = np.asarray(claim_vec, dtype=np.float64)
     try:
         matrix = np.asarray(chunk_vecs, dtype=np.float64)
     except ValueError as exc:
         raise ContractError(f"chunk vectors disagree on dimension: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[1] != claim.shape[0]:
-        raise ContractError(
-            f"dimension mismatch: claim dim {claim.shape[0]}, chunks {matrix.shape}"
-        )
-    claim_norm = float(np.linalg.norm(claim))
+    if matrix.ndim != 2:
+        raise ContractError(f"chunk vectors are not flat: shape {matrix.shape}")
     row_norms = np.linalg.norm(matrix, axis=1)
-    denom = row_norms * claim_norm
-    sims = np.zeros(len(matrix), dtype=np.float64)
-    nonzero = denom > 0.0
-    if claim_norm > 0.0:
-        sims[nonzero] = (matrix[nonzero] @ claim) / denom[nonzero]
-    if not np.all(nonzero) or claim_norm == 0.0:
+    rankings = []
+    zero_seen = False
+    for claim_vec in claim_vecs:
+        claim = np.asarray(claim_vec, dtype=np.float64)
+        if claim.shape != (matrix.shape[1],):
+            raise ContractError(
+                f"dimension mismatch: claim shape {claim.shape}, chunks {matrix.shape}"
+            )
+        claim_norm = float(np.linalg.norm(claim))
+        denom = row_norms * claim_norm
+        sims = np.zeros(len(matrix), dtype=np.float64)
+        nonzero = denom > 0.0
+        if claim_norm > 0.0:
+            sims[nonzero] = (matrix[nonzero] @ claim) / denom[nonzero]
+        zero_seen = zero_seen or not np.all(nonzero)
+        order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
+        rankings.append([(i, float(sims[i])) for i in order])
+    if zero_seen:
         logger.warning("zero vector(s) in ranking; their similarity is 0.0")
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
-    return [(i, float(sims[i])) for i in order]
+    return rankings
 
 
 def select_k(

@@ -123,7 +123,7 @@ def test_criterion_3_packing_safety(capsys):
                 continue
             vecs = embedder.embed([c.text for c in chunks])
             (claim_vec,) = embedder.embed([claim])
-            ranked = rank_chunks(claim_vec, vecs)
+            (ranked,) = rank_chunks([claim_vec], vecs)
             ranked_budgets = [budgeted_count(COUNTER, chunks[i].text) for i, _ in ranked]
             selection = select_k(budget, claim_tokens, ranked_budgets)
 
@@ -172,9 +172,8 @@ def test_criterion_4_retrieval_oracle_equivalence(capsys):
                 for j in (3, 7, 9):
                     chunks[j] = list(chunks[1])
             claim = [rng.gauss(0.0, 1.0) for _ in range(64)]
-            produced = [
-                idx for idx, _ in rank_chunks(np.array(claim), [np.array(c) for c in chunks])
-            ]
+            (ranked,) = rank_chunks([np.array(claim)], [np.array(c) for c in chunks])
+            produced = [idx for idx, _ in ranked]
             assert produced == _oracle_order(claim, chunks)
 
 

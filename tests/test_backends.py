@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gen
 from groundcheck.backends import (
     EMBEDDING_DIM,
     BackendDescriptor,
@@ -18,9 +20,12 @@ from groundcheck.backends import (
     RemoteNLI,
     _trigram_bucket,
     builtin_backends,
+    remote_backends,
     remote_call,
 )
+from groundcheck.chunking import ChunkerConfig
 from groundcheck.errors import BackendUnavailableError, ConfigError, ProtocolError
+from groundcheck.pipeline import DetectionRequest, PipelineConfig, detect
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +261,28 @@ def test_descriptor_invariants():
         BackendDescriptor(kind="remote", endpoint="http://x", retries=-1)
 
 
+def _builtin_sidecar(path, payload):
+    """Serve the builtin backends' semantics over the wire protocol."""
+    local = builtin_backends()
+    if path == "/embed":
+        vectors = [v.tolist() for v in local.embedder.embed(payload["texts"])]
+        return 200, {"vectors": vectors}
+    if path == "/nli":
+        pairs = [(p["premise"], p["hypothesis"]) for p in payload["pairs"]]
+        return 200, {
+            "scores": [
+                {"entail": s.p_entail, "neutral": s.p_neutral, "contradict": s.p_contradict}
+                for s in local.nli.score(pairs)
+            ]
+        }
+    if path == "/classify_factual":
+        return 200, {"probs": local.claim_classifier.classify(payload["texts"])}
+    return 404, {}
+
+
 def test_full_pipeline_over_the_wire_matches_in_process(service):
     """Serving the builtin semantics behind HTTP yields identical verdicts."""
-    from groundcheck.backends import remote_backends
-    from groundcheck.pipeline import DetectionRequest, detect
-
-    local = builtin_backends()
-
-    def sidecar(path, payload):
-        if path == "/embed":
-            vectors = [v.tolist() for v in local.embedder.embed(payload["texts"])]
-            return 200, {"vectors": vectors}
-        if path == "/nli":
-            pairs = [(p["premise"], p["hypothesis"]) for p in payload["pairs"]]
-            return 200, {
-                "scores": [
-                    {"entail": s.p_entail, "neutral": s.p_neutral, "contradict": s.p_contradict}
-                    for s in local.nli.score(pairs)
-                ]
-            }
-        if path == "/classify_factual":
-            return 200, {"probs": local.claim_classifier.classify(payload["texts"])}
-        return 404, {}
-
-    service.set_behavior(sidecar)
+    service.set_behavior(_builtin_sidecar)
     request = DetectionRequest(
         context_documents=(
             "The canal locks were rebuilt in 1907 after the spring flood "
@@ -291,6 +294,28 @@ def test_full_pipeline_over_the_wire_matches_in_process(service):
         ),
     )
     over_wire = detect(request, backends=remote_backends(service.url))
-    in_process = detect(request, backends=local)
+    in_process = detect(request, backends=builtin_backends())
     assert over_wire.to_dict() == in_process.to_dict()
     assert over_wire.label == "hallucinated"
+
+
+@pytest.mark.parametrize("max_batch", [7, 32])
+def test_detect_sends_nli_pairs_in_max_batch_requests(service, max_batch):
+    """The NLI round trips of a request follow its pairs, not its claims."""
+    service.set_behavior(_builtin_sidecar)
+    rng = random.Random(3)
+    context = gen.document(rng, 1500)
+    sentences = [gen.sentence(rng, rng.randint(8, 14)).rstrip("?!") + "." for _ in range(20)]
+    output = "\n\n".join(sentences)
+    request = DetectionRequest(context_documents=(context,), output_text=output)
+    config = PipelineConfig(claim_chunker=ChunkerConfig(s_max=20, o_max=0))
+
+    verdict = detect(request, config, remote_backends(service.url, max_batch=max_batch))
+    scored = [c for c in verdict.claim_verdicts if c.grounding_score is not None]
+    assert len(scored) == 20
+    batches = [len(payload["pairs"]) for path, payload in service.requests if path == "/nli"]
+    pairs = sum(batches)
+    assert pairs > len(scored)
+    assert len(batches) == math.ceil(pairs / max_batch) < len(scored)
+    assert all(size == max_batch for size in batches[:-1])
+    assert verdict.to_dict() == detect(request, config).to_dict()

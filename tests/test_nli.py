@@ -2,9 +2,8 @@ import pytest
 
 from groundcheck.backends import ContainmentNLI, content_tokens
 from groundcheck.chunking import Chunk
-from groundcheck.claims import Claim
 from groundcheck.errors import BackendError, ContractError
-from groundcheck.nli import EntailmentScores, PACKED, PAIRWISE, score_claim, score_pair
+from groundcheck.nli import EntailmentScores, PACKED, PAIRWISE, claim_pairs, score_claim
 from groundcheck.retrieval import ClaimEvidence
 
 BACKEND = ContainmentNLI()
@@ -14,8 +13,16 @@ def make_chunk(text, index):
     return Chunk(text=text, start=0, end=len(text), token_count=len(text.split()), index=index)
 
 
-def make_claim(text):
-    return Claim(text=text, start=0, end=len(text), token_count=len(text.split()), claim_index=0)
+def score_one(backend, premise, hypothesis):
+    """Scores of a request with one claim and one pair."""
+    ((scores,),) = score_claim(backend, [[(premise, hypothesis)]])
+    return scores
+
+
+def score_evidence(backend, mode, hypothesis, evidence, chunks):
+    """Scores of a request with one claim, planned from its evidence."""
+    (scores,) = score_claim(backend, [claim_pairs(mode, hypothesis, evidence, chunks)])
+    return scores
 
 
 def test_scores_validate_range_and_sum():
@@ -27,26 +34,26 @@ def test_scores_validate_range_and_sum():
 
 
 def test_containment_full():
-    scores = score_pair(BACKEND, "The cat sat on the mat today", "the cat sat")
+    scores = score_one(BACKEND, "The cat sat on the mat today", "the cat sat")
     assert scores.p_entail == 1.0
     assert scores.p_contradict == 0.0
     assert scores.p_neutral == 0.0
 
 
 def test_containment_empty_intersection():
-    scores = score_pair(BACKEND, "alpha beta gamma", "delta epsilon")
+    scores = score_one(BACKEND, "alpha beta gamma", "delta epsilon")
     assert scores.p_entail == 0.0
     assert scores.p_neutral == 1.0
 
 
 def test_containment_partial():
     # hypothesis content tokens: apple, banana, cherry, mango; premise has 2
-    scores = score_pair(BACKEND, "apple banana orange", "apple banana cherry mango")
+    scores = score_one(BACKEND, "apple banana orange", "apple banana cherry mango")
     assert scores.p_entail == 0.5
 
 
 def test_containment_stopword_only_hypothesis():
-    scores = score_pair(BACKEND, "whatever", "it is the and of")
+    scores = score_one(BACKEND, "whatever", "it is the and of")
     assert scores.p_entail == 1.0
 
 
@@ -60,17 +67,16 @@ def test_backend_failure_wrapped():
             raise RuntimeError("nope")
 
     with pytest.raises(BackendError):
-        score_pair(Broken(), "p", "h")
+        score_one(Broken(), "p", "h")
 
 
 def test_pairwise_scores_each_selected_chunk_in_rank_order():
     chunks = [make_chunk("nothing shared here", 0), make_chunk("more filler text", 1),
               make_chunk("the tired dog slept deeply", 2)]
     evidence = ClaimEvidence(claim_index=0, ranked=[(1, 0.9), (0, 0.5), (2, 0.4)], selected_k=3)
-    claim = make_claim("tired dog slept")
-    out = score_claim(BACKEND, PAIRWISE, claim, evidence, chunks)
-    assert len(out.entailment) == 3
-    assert [s.p_entail for s in out.entailment] == [0.0, 0.0, 1.0]
+    out = score_evidence(BACKEND, PAIRWISE, "tired dog slept", evidence, chunks)
+    assert len(out) == 3
+    assert [s.p_entail for s in out] == [0.0, 0.0, 1.0]
 
 
 def test_packed_mode_single_call_document_order():
@@ -83,23 +89,20 @@ def test_packed_mode_single_call_document_order():
 
     chunks = [make_chunk("zebra stripes", 0), make_chunk("lion mane", 1)]
     evidence = ClaimEvidence(claim_index=0, ranked=[(1, 0.8), (0, 0.2)], selected_k=2)
-    claim = make_claim("zebra lion")
-    out = score_claim(Recorder(), PACKED, claim, evidence, chunks)
-    assert len(out.entailment) == 1
+    out = score_evidence(Recorder(), PACKED, "zebra lion", evidence, chunks)
+    assert len(out) == 1
     assert len(calls) == 1
     # document order, not rank order
     assert calls[0][0] == "zebra stripes\nlion mane"
-    assert out.entailment[0].p_entail == 1.0
+    assert out[0].p_entail == 1.0
 
 
 def test_single_chunk_modes_agree():
     chunks = [make_chunk("the blue whale is the largest animal", 0)]
-    claim = make_claim("blue whale largest")
-    e1 = ClaimEvidence(claim_index=0, ranked=[(0, 0.9)], selected_k=1)
-    e2 = ClaimEvidence(claim_index=0, ranked=[(0, 0.9)], selected_k=1)
-    pairwise = score_claim(BACKEND, PAIRWISE, claim, e1, chunks)
-    packed = score_claim(BACKEND, PACKED, claim, e2, chunks)
-    assert pairwise.entailment[0].p_entail == packed.entailment[0].p_entail
+    evidence = ClaimEvidence(claim_index=0, ranked=[(0, 0.9)], selected_k=1)
+    pairwise = score_evidence(BACKEND, PAIRWISE, "blue whale largest", evidence, chunks)
+    packed = score_evidence(BACKEND, PACKED, "blue whale largest", evidence, chunks)
+    assert pairwise[0].p_entail == packed[0].p_entail
 
 
 def test_truncated_top_replaces_premise():
@@ -107,16 +110,46 @@ def test_truncated_top_replaces_premise():
     evidence = ClaimEvidence(
         claim_index=0, ranked=[(0, 1.0)], selected_k=1, truncated_top="alpha beta"
     )
-    claim = make_claim("gamma delta")
-    out = score_claim(BACKEND, PAIRWISE, claim, evidence, chunks)
-    assert out.entailment[0].p_entail == 0.0  # truncation removed the match
+    out = score_evidence(BACKEND, PAIRWISE, "gamma delta", evidence, chunks)
+    assert out[0].p_entail == 0.0  # truncation removed the match
+
+
+def test_truncated_top_leads_the_pairwise_pairs():
+    chunks = [make_chunk("alpha beta", 0), make_chunk("gamma delta epsilon", 1)]
+    evidence = ClaimEvidence(
+        claim_index=0, ranked=[(1, 0.9), (0, 0.5)], selected_k=2, truncated_top="gamma"
+    )
+    assert claim_pairs(PAIRWISE, "h", evidence, chunks) == [("gamma", "h"), ("alpha beta", "h")]
+    # packed mode keeps document order with the truncated text in place
+    assert claim_pairs(PACKED, "h", evidence, chunks) == [("alpha beta\ngamma", "h")]
 
 
 def test_score_claim_requires_selection():
     with pytest.raises(ContractError):
-        score_claim(BACKEND, PAIRWISE, make_claim("x"), ClaimEvidence(0, [(0, 1.0)], 0), [make_chunk("x", 0)])
+        claim_pairs(PAIRWISE, "x", ClaimEvidence(0, [(0, 1.0)], 0), [make_chunk("x", 0)])
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ContractError):
-        score_claim(BACKEND, "both", make_claim("x"), ClaimEvidence(0, [(0, 1.0)], 1), [make_chunk("x", 0)])
+        claim_pairs("both", "x", ClaimEvidence(0, [(0, 1.0)], 1), [make_chunk("x", 0)])
+
+
+class CountingNLI:
+    def __init__(self):
+        self.calls = []
+
+    def score(self, pairs):
+        self.calls.append(list(pairs))
+        return BACKEND.score(pairs)
+
+
+def test_score_claim_one_call_sliced_per_claim():
+    backend = CountingNLI()
+    claims = [
+        [("cat dog", "cat"), ("bird", "cat")],
+        [("fish", "fish")],
+        [("a b", "c"), ("c", "c"), ("d", "c")],
+    ]
+    out = score_claim(backend, claims)
+    assert backend.calls == [[pair for claim in claims for pair in claim]]
+    assert [[s.p_entail for s in scores] for scores in out] == [[1.0, 0.0], [1.0], [0.0, 1.0, 0.0]]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -276,3 +277,92 @@ def test_detect_embeds_each_distinct_text_once_in_one_call():
         assert short in texts and long in texts
         verdicts.append(json.dumps(verdict.to_dict(), sort_keys=True))
     assert verdicts[0] == verdicts[1]
+
+
+class CountingNLI:
+    """ContainmentNLI that records its calls; ``per_pair`` scores each pair alone."""
+
+    def __init__(self, per_pair=False):
+        self.inner = ContainmentNLI()
+        self.per_pair = per_pair
+        self.calls = []
+
+    def score(self, pairs):
+        pairs = list(pairs)
+        self.calls.append(pairs)
+        if self.per_pair:
+            return [self.inner.score([p])[0] for p in pairs]
+        return self.inner.score(pairs)
+
+
+def _nli_backends(nli):
+    return BackendSet(
+        embedder=MockEmbedder(), nli=nli, claim_classifier=builtin_backends().claim_classifier
+    )
+
+
+def _multi_band_request():
+    """Six factual claims over two 16-token bands; the last one is invented.
+
+    Each claim is long enough that no two merge under a 32-token claim cap.
+    """
+    doc = gen.document(random.Random(5), 900)
+    sentences = [
+        s for s in re.findall(r"[A-Z][^.!?\n]*[.!]", doc) if 17 <= len(s.split()) <= 24
+    ]
+    novel = (
+        "Quartz gryphons manufacture seventeen polyhedral memoranda underwater "
+        "while juggling vermilion abacuses near clandestine zeppelin turbines."
+    )
+    return DetectionRequest(
+        context_documents=(doc, doc[: len(doc) // 2]),
+        output_text="\n\n".join(sentences[:5] + [novel]),
+    )
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "packed"])
+def test_detect_scores_every_claim_in_one_nli_call(mode):
+    config = PipelineConfig(claim_chunker=ChunkerConfig(s_max=32, o_max=0), mode=mode)
+    request = _multi_band_request()
+
+    verdicts = []
+    for per_pair in (False, True):
+        nli = CountingNLI(per_pair=per_pair)
+        verdict = detect(request, config, _nli_backends(nli))
+        scored = [c for c in verdict.claim_verdicts if c.grounding_score is not None]
+        assert len(scored) == 6
+        bands = {budgeted_count(config.counter, c.text) // CLAIM_BAND_TOKENS for c in scored}
+        assert len(bands) >= 2
+        (pairs,) = nli.calls
+        if mode == "pairwise":
+            assert len(pairs) > len(scored)  # several chunks per claim
+        else:
+            assert len(pairs) == len(scored)
+        # scores went back to their own claims
+        assert [c.grounding_score for c in scored[:5]] == [1.0] * 5
+        assert scored[-1].grounding_score == 0.0
+        verdicts.append(json.dumps(verdict.to_dict(), sort_keys=True))
+    assert verdicts[0] == verdicts[1]
+
+
+def test_no_chunks_path_makes_no_nli_call():
+    nli = CountingNLI()
+    request = DetectionRequest(
+        context_documents=("   \n\n ",), output_text="A factual looking sentence about lighthouses."
+    )
+    verdict = detect(request, backends=_nli_backends(nli))
+    assert all(c.grounding_score == 0.0 for c in verdict.claim_verdicts)
+    assert nli.calls == []
+
+
+def test_nli_score_count_mismatch_is_a_backend_error():
+    class ShortNLI:
+        def score(self, pairs):
+            return ContainmentNLI().score(pairs)[:-1]
+
+    with pytest.raises(BackendError, match="NLI stage failed on .* pairs for 6 claims: .*returned"):
+        detect(
+            _multi_band_request(),
+            PipelineConfig(claim_chunker=ChunkerConfig(s_max=32, o_max=0)),
+            _nli_backends(ShortNLI()),
+        )

@@ -25,48 +25,59 @@ def brute_force_order(claim_vec, chunk_vecs):
 
 def test_cosine_identity_and_orthogonality():
     v = np.array([0.3, 0.4, 0.5])
-    assert rank_chunks(v, [v]) == [(0, pytest.approx(1.0))]
-    assert rank_chunks(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) == [(0, 0.0)]
+    assert rank_chunks([v], [v]) == [[(0, pytest.approx(1.0))]]
+    assert rank_chunks([np.array([1.0, 0.0])], [np.array([0.0, 1.0])]) == [[(0, 0.0)]]
 
 
 def test_cosine_value():
-    ((_, got),) = rank_chunks(np.array([1.0, 1.0]), [np.array([1.0, 0.0])])
+    (((_, got),),) = rank_chunks([np.array([1.0, 1.0])], [np.array([1.0, 0.0])])
     assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
 def test_cosine_zero_vector_is_zero(caplog):
     with caplog.at_level("WARNING", logger="groundcheck.retrieval"):
-        assert rank_chunks(np.zeros(3), [np.array([1.0, 2.0, 3.0])]) == [(0, 0.0)]
-        assert rank_chunks(np.array([1.0, 2.0, 3.0]), [np.zeros(3)]) == [(0, 0.0)]
+        assert rank_chunks([np.zeros(3)], [np.array([1.0, 2.0, 3.0])]) == [[(0, 0.0)]]
+        assert rank_chunks([np.array([1.0, 2.0, 3.0])], [np.zeros(3)]) == [[(0, 0.0)]]
     assert any("zero vector" in r.message for r in caplog.records)
 
 
 def test_cosine_dim_mismatch():
     with pytest.raises(ContractError):
-        rank_chunks(np.ones(3), [np.ones(4)])
+        rank_chunks([np.ones(3)], [np.ones(4)])
 
 
 def test_rank_single_chunk():
-    ranked = rank_chunks(np.ones(4), [np.ones(4)])
+    (ranked,) = rank_chunks([np.ones(4)], [np.ones(4)])
     assert ranked == [(0, pytest.approx(1.0))]
 
 
 def test_rank_exact_match_first():
     rng = np.random.default_rng(3)
     chunks = [rng.normal(size=8) for _ in range(5)]
-    ranked = rank_chunks(chunks[2], chunks)
+    (ranked,) = rank_chunks([chunks[2]], chunks)
     assert ranked[0][0] == 2
     assert ranked[0][1] == pytest.approx(1.0)
 
 
+def test_rank_many_claims_equals_one_at_a_time(caplog):
+    rng = np.random.default_rng(7)
+    chunks = [rng.normal(size=16) for _ in range(12)] + [np.zeros(16)]
+    claims = [rng.normal(size=16) for _ in range(5)] + [np.zeros(16)]
+    with caplog.at_level("WARNING", logger="groundcheck.retrieval"):
+        together = rank_chunks(claims, chunks)
+    assert sum("zero vector" in r.message for r in caplog.records) == 1  # once per call
+    assert together == [rank_chunks([c], chunks)[0] for c in claims]  # bit for bit
+    assert rank_chunks([], chunks) == []
+
+
 def test_rank_empty_is_an_error():
     with pytest.raises(ContractError):
-        rank_chunks(np.ones(4), [])
+        rank_chunks([np.ones(4)], [])
 
 
 def test_rank_ragged_vectors_are_an_error():
     with pytest.raises(ContractError):
-        rank_chunks(np.ones(3), [np.ones(3), np.ones(4)])
+        rank_chunks([np.ones(3)], [np.ones(3), np.ones(4)])
 
 
 def test_rank_matches_brute_force_oracle():
@@ -78,9 +89,11 @@ def test_rank_matches_brute_force_oracle():
         # force exact ties so the index tie-break is exercised
         if n >= 4:
             chunks[3] = list(chunks[0])
-        claim = [rng.gauss(0, 1) for _ in range(dim)]
-        got = [idx for idx, _ in rank_chunks(np.array(claim), [np.array(c) for c in chunks])]
-        assert got == brute_force_order(claim, chunks)
+        claims = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+        rankings = rank_chunks([np.array(c) for c in claims], [np.array(c) for c in chunks])
+        assert len(rankings) == len(claims)
+        for claim, ranked in zip(claims, rankings):
+            assert [idx for idx, _ in ranked] == brute_force_order(claim, chunks)
 
 
 def test_select_k_packing_arithmetic():
