@@ -32,22 +32,17 @@ NO_FACTUAL_CLAIMS = "no-factual-claims"
 DEFAULT_BETA = 10.0
 DEFAULT_THETA = 0.5
 
-CLAIM_REDUCER_MAX = "max"
-
 
 @dataclass(frozen=True)
 class AggregationConfig:
     beta: float = DEFAULT_BETA
     theta: float = DEFAULT_THETA
-    claim_reducer: str = CLAIM_REDUCER_MAX
 
     def __post_init__(self):
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must be in (0,1), got {self.theta}")
-        if self.claim_reducer != CLAIM_REDUCER_MAX:
-            raise ConfigError(f"unsupported claim_reducer: {self.claim_reducer!r}")
 
 
 @dataclass(frozen=True)

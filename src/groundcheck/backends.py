@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 import numpy as np
 import requests
 
-from .claims import DEFAULT_GREETING_LEXICON, heuristic_factual_prob
+from .claims import heuristic_factual_prob
 from .errors import BackendUnavailableError, ConfigError, ContractError, ProtocolError
 from .nli import EntailmentScores
 
@@ -129,11 +129,8 @@ class ContainmentNLI:
 class HeuristicClaimClassifier:
     """Backend wrapper around the heuristic factual-claim rule table."""
 
-    def __init__(self, lexicon: Sequence[str] = DEFAULT_GREETING_LEXICON):
-        self.lexicon = tuple(p.lower() for p in lexicon)
-
     def classify(self, texts: Sequence[str]) -> list[float]:
-        return [heuristic_factual_prob(t, self.lexicon) for t in texts]
+        return [heuristic_factual_prob(t) for t in texts]
 
 
 @dataclass(frozen=True)
@@ -157,21 +154,18 @@ def builtin_backends() -> BackendSet:
 # Remote backends
 # ---------------------------------------------------------------------------
 
-REMOTE = "remote"
-
 _BACKOFF_BASE_MS = 250
 
 
 @dataclass(frozen=True)
 class BackendDescriptor:
-    kind: str
-    endpoint: str = ""
+    endpoint: str
     timeout_ms: int = 10000
     max_batch: int = 32
     retries: int = 2
 
     def __post_init__(self):
-        if self.kind == REMOTE and not self.endpoint:
+        if not self.endpoint:
             raise ConfigError("remote backend requires an endpoint")
         if self.timeout_ms <= 0:
             raise ConfigError("timeout must be positive")
@@ -183,8 +177,6 @@ class BackendDescriptor:
 
 def remote_call(descriptor: BackendDescriptor, route: str, payload: dict) -> dict:
     """POST JSON to endpoint+route, retrying transport errors and 5xx."""
-    if descriptor.kind != REMOTE:
-        raise ConfigError("remote_call requires a remote descriptor")
     url = descriptor.endpoint.rstrip("/") + route
     timeout = descriptor.timeout_ms / 1000.0
     attempts = descriptor.retries + 1
@@ -213,9 +205,21 @@ def remote_call(descriptor: BackendDescriptor, route: str, payload: dict) -> dic
     raise BackendUnavailableError(f"{url} unavailable after {attempts} attempts: {last_error}")
 
 
-def _batched(items: Sequence, size: int):
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
+def _remote_items(descriptor: BackendDescriptor, route: str, key: str, items: list, result_key: str) -> list:
+    """POST ``items`` under ``key`` in batches of ``max_batch``; concatenate the
+    ``result_key`` lists, checking that each batch answers every item."""
+    results = []
+    for i in range(0, len(items), descriptor.max_batch):
+        batch = items[i : i + descriptor.max_batch]
+        body = remote_call(descriptor, route, {key: batch})
+        got = body.get(result_key) if isinstance(body, dict) else None
+        if not isinstance(got, list) or len(got) != len(batch):
+            raise ProtocolError(
+                f"{route} returned {len(got) if isinstance(got, list) else 0} "
+                f"{result_key} for {len(batch)} {key}"
+            )
+        results.extend(got)
+    return results
 
 
 class RemoteEmbedder:
@@ -224,26 +228,18 @@ class RemoteEmbedder:
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         vectors: list[np.ndarray] = []
-        expected_dim = None
-        for batch in _batched(list(texts), self.descriptor.max_batch):
-            body = remote_call(self.descriptor, "/embed", {"texts": batch})
-            got = body.get("vectors")
-            if not isinstance(got, list) or len(got) != len(batch):
-                raise ProtocolError(
-                    f"/embed returned {0 if not isinstance(got, list) else len(got)} "
-                    f"vectors for {len(batch)} texts"
-                )
-            for vec in got:
+        for vec in _remote_items(self.descriptor, "/embed", "texts", list(texts), "vectors"):
+            try:
                 arr = np.asarray(vec, dtype=np.float64)
-                if arr.ndim != 1 or arr.size == 0:
-                    raise ProtocolError("/embed vector is not a flat nonempty list")
-                if expected_dim is None:
-                    expected_dim = arr.size
-                elif arr.size != expected_dim:
-                    raise ProtocolError("/embed vectors disagree on dimension")
-                if not np.all(np.isfinite(arr)):
-                    raise ProtocolError("/embed vector contains NaN or Inf")
-                vectors.append(arr)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"/embed vector is not numeric: {exc}") from exc
+            if arr.ndim != 1 or arr.size == 0:
+                raise ProtocolError("/embed vector is not a flat nonempty list")
+            if vectors and arr.size != vectors[0].size:
+                raise ProtocolError("/embed vectors disagree on dimension")
+            if not np.all(np.isfinite(arr)):
+                raise ProtocolError("/embed vector contains NaN or Inf")
+            vectors.append(arr)
         return vectors
 
 
@@ -252,28 +248,20 @@ class RemoteNLI:
         self.descriptor = descriptor
 
     def score(self, pairs: Sequence[tuple[str, str]]) -> list[EntailmentScores]:
+        items = [{"premise": p, "hypothesis": h} for p, h in pairs]
         scores: list[EntailmentScores] = []
-        for batch in _batched(list(pairs), self.descriptor.max_batch):
-            payload = {"pairs": [{"premise": p, "hypothesis": h} for p, h in batch]}
-            body = remote_call(self.descriptor, "/nli", payload)
-            got = body.get("scores")
-            if not isinstance(got, list) or len(got) != len(batch):
-                raise ProtocolError(
-                    f"/nli returned {0 if not isinstance(got, list) else len(got)} "
-                    f"scores for {len(batch)} pairs"
+        for item in _remote_items(self.descriptor, "/nli", "pairs", items, "scores"):
+            try:
+                triple = EntailmentScores(
+                    p_entail=float(item["entail"]),
+                    p_neutral=float(item["neutral"]),
+                    p_contradict=float(item["contradict"]),
                 )
-            for item in got:
-                try:
-                    triple = EntailmentScores(
-                        p_entail=float(item["entail"]),
-                        p_neutral=float(item["neutral"]),
-                        p_contradict=float(item["contradict"]),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ProtocolError(f"/nli score entry malformed: {item!r}") from exc
-                except ContractError as exc:
-                    raise ProtocolError(f"/nli score entry invalid: {exc}") from exc
-                scores.append(triple)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProtocolError(f"/nli score entry malformed: {item!r}") from exc
+            except ContractError as exc:
+                raise ProtocolError(f"/nli score entry invalid: {exc}") from exc
+            scores.append(triple)
         return scores
 
 
@@ -283,24 +271,16 @@ class RemoteClaimClassifier:
 
     def classify(self, texts: Sequence[str]) -> list[float]:
         probs: list[float] = []
-        for batch in _batched(list(texts), self.descriptor.max_batch):
-            body = remote_call(self.descriptor, "/classify_factual", {"texts": batch})
-            got = body.get("probs")
-            if not isinstance(got, list) or len(got) != len(batch):
-                raise ProtocolError(
-                    f"/classify_factual returned {0 if not isinstance(got, list) else len(got)} "
-                    f"probs for {len(batch)} texts"
-                )
-            for p in got:
-                p = float(p)
-                if not 0.0 <= p <= 1.0:
-                    raise ProtocolError(f"/classify_factual prob out of [0,1]: {p}")
-                probs.append(p)
+        for p in _remote_items(self.descriptor, "/classify_factual", "texts", list(texts), "probs"):
+            p = float(p)
+            if not 0.0 <= p <= 1.0:
+                raise ProtocolError(f"/classify_factual prob out of [0,1]: {p}")
+            probs.append(p)
         return probs
 
 
 def remote_backends(endpoint: str, **kwargs) -> BackendSet:
-    descriptor = BackendDescriptor(kind=REMOTE, endpoint=endpoint, **kwargs)
+    descriptor = BackendDescriptor(endpoint=endpoint, **kwargs)
     return BackendSet(
         embedder=RemoteEmbedder(descriptor),
         nli=RemoteNLI(descriptor),

@@ -1,4 +1,5 @@
-"""Benchmark harness for response-level hallucination corpora.
+"""Benchmark harness for response-level hallucination corpora, and the one
+request path that ``bench`` and ``batch`` share.
 
 Input is JSON Lines, one sample per line:
 
@@ -10,6 +11,10 @@ qa, data-to-text, summarization, other (defaulting to other); unknown fields
 are ignored. Hallucinated is the positive class throughout. Samples whose
 pipeline run fails are counted separately and never folded into the
 confusion counts, so failures cannot inflate precision.
+
+``batch`` files hold ``{"id", "context", "output"}`` records, read by
+:func:`load_batch`. Both loaders share one line reader, and both runs go
+through :func:`detect_all`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .aggregation import HALLUCINATED
+from .aggregation import HALLUCINATED, ResponseVerdict
 from .backends import BackendSet, builtin_backends
 from .errors import DatasetError, GroundcheckError
 from .pipeline import DetectionRequest, PipelineConfig, detect
@@ -105,78 +110,132 @@ def compute_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1_score(precision, recall)
 
 
-def _parse_sample(record: dict, line_no: int) -> EvalSample:
-    for key in ("id", "context", "response", "label_hallucinated"):
+def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, JSON object)`` for every non-blank line of ``path``.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, so a raw U+2028 inside a JSON
+    string stays part of its record. Every failure is a :class:`DatasetError`
+    that names the file, and the line where there is one.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} line {line_no}: not UTF-8: {exc}") from exc
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path} line {line_no}: expected a JSON object")
+        yield line_no, record
+
+
+def _require(record: dict, keys: Sequence[str], where: str) -> None:
+    for key in keys:
         if key not in record:
-            raise DatasetError(f"line {line_no}: missing required field {key!r}")
-    context = record["context"]
+            raise DatasetError(f"{where}: missing required field {key!r}")
+
+
+def _parse_context(context: object, where: str) -> tuple[str, ...]:
     if isinstance(context, str):
-        context = (context,)
-    elif isinstance(context, list) and all(isinstance(d, str) for d in context):
-        context = tuple(context)
-    else:
-        raise DatasetError(f"line {line_no}: context must be a string or list of strings")
-    if not context or all(not d.strip() for d in context):
-        raise DatasetError(f"line {line_no}: context is empty")
-    response = record["response"]
-    if not isinstance(response, str) or not response.strip():
-        raise DatasetError(f"line {line_no}: response must be a nonempty string")
-    task_type = record.get("task_type", "other")
-    if task_type not in TASK_TYPES:
-        task_type = "other"
-    return EvalSample(
-        id=str(record["id"]),
-        task_type=task_type,
-        context=context,
-        response=response,
-        label_hallucinated=bool(record["label_hallucinated"]),
-    )
+        return (context,)
+    if isinstance(context, list) and all(isinstance(d, str) for d in context):
+        return tuple(context)
+    raise DatasetError(f"{where}: context must be a string or list of strings")
 
 
 def load_samples(path: str | Path) -> list[EvalSample]:
-    """Parse a JSONL dataset; errors always name the offending line."""
+    """Parse a labeled JSONL dataset; errors always name the offending line."""
     samples = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"line {line_no}: expected a JSON object")
-            sample = _parse_sample(record, line_no)
-            if sample.id in seen_ids:
-                raise DatasetError(f"line {line_no}: duplicate id {sample.id!r}")
-            seen_ids.add(sample.id)
-            samples.append(sample)
+    for line_no, record in _read_records(path):
+        where = f"{path} line {line_no}"
+        _require(record, ("id", "context", "response", "label_hallucinated"), where)
+        context = _parse_context(record["context"], where)
+        if not context or all(not d.strip() for d in context):
+            raise DatasetError(f"{where}: context is empty")
+        response = record["response"]
+        if not isinstance(response, str) or not response.strip():
+            raise DatasetError(f"{where}: response must be a nonempty string")
+        task_type = record.get("task_type", "other")
+        if task_type not in TASK_TYPES:
+            task_type = "other"
+        sample = EvalSample(
+            id=str(record["id"]),
+            task_type=task_type,
+            context=context,
+            response=response,
+            label_hallucinated=bool(record["label_hallucinated"]),
+        )
+        if sample.id in seen_ids:
+            raise DatasetError(f"{where}: duplicate id {sample.id!r}")
+        seen_ids.add(sample.id)
+        samples.append(sample)
     return samples
 
 
-def _evaluate_one(sample: EvalSample, config: PipelineConfig, backends: BackendSet) -> dict:
-    try:
-        verdict = detect(
-            DetectionRequest(context_documents=sample.context, output_text=sample.response),
-            config,
-            backends,
-        )
-    except GroundcheckError as exc:
-        return {
-            "id": sample.id,
-            "task_type": sample.task_type,
-            "label_hallucinated": sample.label_hallucinated,
-            "error": str(exc),
-        }
+def load_batch(path: str | Path) -> tuple[list, list[tuple[tuple[str, ...], str]]]:
+    """Parse a ``batch`` JSONL file of ``{"id", "context", "output"}`` records.
+
+    Returns the ids, echoed as written and free to repeat, and the
+    ``(documents, output)`` requests for :func:`detect_all`. A context that
+    cannot be scored (``[]``, or only whitespace) is left to ``detect``, which
+    fails the request or scores its claims 0.0.
+    """
+    ids, requests = [], []
+    for line_no, record in _read_records(path):
+        where = f"{path} line {line_no}"
+        _require(record, ("id", "context", "output"), where)
+        output = record["output"]
+        if not isinstance(output, str):
+            raise DatasetError(f"{where}: output must be a string")
+        ids.append(record["id"])
+        requests.append((_parse_context(record["context"], where), output))
+    return ids, requests
+
+
+def detect_all(
+    requests: Sequence[tuple[tuple[str, ...], str]],
+    config: PipelineConfig,
+    backends: BackendSet,
+    jobs: int = 1,
+) -> list[ResponseVerdict | GroundcheckError]:
+    """Run :func:`detect` on each ``(documents, output)`` pair, in input order.
+
+    A request that fails yields the :class:`GroundcheckError` it raised in
+    place of its verdict. ``jobs > 1`` runs requests on that many threads.
+    """
+
+    def run_one(request: tuple[tuple[str, ...], str]) -> ResponseVerdict | GroundcheckError:
+        documents, output = request
+        try:
+            return detect(DetectionRequest(context_documents=documents, output_text=output), config, backends)
+        except GroundcheckError as exc:
+            return exc
+
+    if jobs <= 1:
+        return [run_one(r) for r in requests]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(run_one, requests))
+
+
+def _eval_row(sample: EvalSample, result: ResponseVerdict | GroundcheckError) -> dict:
+    row = {"id": sample.id, "task_type": sample.task_type, "label_hallucinated": sample.label_hallucinated}
+    if isinstance(result, GroundcheckError):
+        return {**row, "error": str(result)}
     return {
-        "id": sample.id,
-        "task_type": sample.task_type,
-        "label_hallucinated": sample.label_hallucinated,
-        "predicted_hallucinated": verdict.label == HALLUCINATED,
-        "response_score": verdict.response_score,
-        "verdict_label": verdict.label,
-        "warnings": list(verdict.warnings),
+        **row,
+        "predicted_hallucinated": result.label == HALLUCINATED,
+        "response_score": result.response_score,
+        "verdict_label": result.label,
+        "warnings": list(result.warnings),
         "error": None,
     }
 
@@ -197,13 +256,8 @@ def evaluate(
     config = config if config is not None else PipelineConfig()
     backends = backends if backends is not None else builtin_backends()
 
-    if jobs <= 1:
-        rows = [_evaluate_one(s, config, backends) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda s: _evaluate_one(s, config, backends), samples))
-
-    rows.sort(key=lambda r: r["id"])
+    results = detect_all([(s.context, s.response) for s in samples], config, backends, jobs)
+    rows = sorted((_eval_row(s, r) for s, r in zip(samples, results)), key=lambda r: r["id"])
     metrics = EvalMetrics()
     for row in rows:
         task = row["task_type"]

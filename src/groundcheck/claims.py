@@ -19,7 +19,6 @@ reproducible without any model. First matching rule wins:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BackendError, ContractError
@@ -27,7 +26,7 @@ from .tokens import builtin_token_count
 
 HEURISTIC_RULES_VERSION = 1
 
-DEFAULT_GREETING_LEXICON: tuple[str, ...] = (
+GREETING_LEXICON: tuple[str, ...] = (
     "hello",
     "hi there",
     "happy to help",
@@ -59,24 +58,12 @@ class Claim:
             raise ContractError(f"factual_prob out of [0,1]: {self.factual_prob}")
 
 
-def load_greeting_lexicon(path: str | Path) -> tuple[str, ...]:
-    """Read one phrase per line; blank lines and '#' comments are skipped."""
-    phrases = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        phrase = line.strip()
-        if phrase and not phrase.startswith("#"):
-            phrases.append(phrase.lower())
-    return tuple(phrases)
-
-
 def _is_all_caps(text: str) -> bool:
     letters = [c for c in text if c.isalpha()]
     return bool(letters) and all(c.isupper() for c in letters)
 
 
-def heuristic_factual_prob(
-    text: str, lexicon: Sequence[str] = DEFAULT_GREETING_LEXICON
-) -> float:
+def heuristic_factual_prob(text: str) -> float:
     """Apply the rule table to one claim text."""
     stripped = text.strip()
     tokens = builtin_token_count(stripped)
@@ -91,7 +78,7 @@ def heuristic_factual_prob(
             return 0.0
     # H2: greeting / closing phrase at claim start
     lowered = stripped.lower()
-    for phrase in lexicon:
+    for phrase in GREETING_LEXICON:
         if lowered.startswith(phrase):
             return 0.0
     # H3: interrogative

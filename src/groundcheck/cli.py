@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -37,7 +36,7 @@ def _fail(message: str) -> None:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
 
 
@@ -150,55 +149,31 @@ def detect_cmd(context_files, output_file, output_text, backend, endpoint, theta
 @click.option("--jobs", type=int, default=1, show_default=True)
 def batch_cmd(data_file, out_file, backend, endpoint, theta, beta, mode, jobs):
     """Run detection over a JSONL file of requests; one verdict per line."""
-    raw = _read_file(data_file)
-    records = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _fail(f"{data_file} line {line_no}: invalid JSON: {exc}")
-        for key in ("id", "context", "output"):
-            if key not in record:
-                _fail(f"{data_file} line {line_no}: missing field {key!r}")
-        records.append(record)
-    if not records:
+    try:
+        ids, requests = bench_mod.load_batch(data_file)
+    except DatasetError as exc:
+        _fail(str(exc))
+    if not requests:
         raise click.UsageError(f"{data_file} contains no records")
 
-    config = _make_config(theta, beta, mode)
-    backends = _make_backends(backend, endpoint)
-
-    def run_one(record):
-        context = record["context"]
-        documents = (context,) if isinstance(context, str) else tuple(context)
+    results = bench_mod.detect_all(
+        requests, _make_config(theta, beta, mode), _make_backends(backend, endpoint), jobs
+    )
+    lines = []
+    for record_id, result in zip(ids, results):
+        if isinstance(result, GroundcheckError):
+            row = {"id": record_id, "error": str(result)}
+        else:
+            row = {"id": record_id, "error": None, **result.to_dict()}
+        lines.append(json.dumps(row))
+    if out_file:
         try:
-            verdict = detect(
-                DetectionRequest(context_documents=documents, output_text=record["output"]),
-                config,
-                backends,
-            )
-        except GroundcheckError as exc:
-            return {"id": record["id"], "error": str(exc)}
-        return {"id": record["id"], "error": None, **verdict.to_dict()}
-
-    if jobs <= 1:
-        results = [run_one(r) for r in records]
+            Path(out_file).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        except OSError as exc:
+            _fail(f"cannot write {out_file}: {exc}")
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, records))
-
-    sink = open(out_file, "w", encoding="utf-8") if out_file else None
-    try:
-        for result in results:
-            line = json.dumps(result)
-            if sink:
-                sink.write(line + "\n")
-            else:
-                click.echo(line)
-    finally:
-        if sink:
-            sink.close()
+        for line in lines:
+            click.echo(line)
 
 
 @main.command("bench")
@@ -211,10 +186,8 @@ def bench_cmd(data_file, backend, endpoint, theta, beta, mode, jobs, report_dir,
     """Evaluate the detector on a labeled corpus; write report.json/report.txt."""
     try:
         samples = bench_mod.load_samples(data_file)
-    except FileNotFoundError:
-        _fail(f"cannot read {data_file}")
     except DatasetError as exc:
-        _fail(f"{data_file}: {exc}")
+        _fail(str(exc))
     if not samples:
         raise click.UsageError(f"{data_file} contains no samples")
 

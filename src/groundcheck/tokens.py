@@ -43,23 +43,22 @@ def builtin_token_count(text: str) -> int:
 class TokenCounter:
     """A token counting strategy plus the safety margin used for budgeting.
 
-    ``kind`` is ``builtin`` unless ``count_fn`` is supplied, in which case
-    counts come from the backend's own tokenizer and the margin is usually 1.0.
+    Counts come from the builtin rule unless ``count_fn`` is supplied, in
+    which case they come from the backend's own tokenizer and the margin is
+    usually 1.0.
     """
 
-    kind: str = BUILTIN
     safety_margin: float = DEFAULT_SAFETY_MARGIN
     count_fn: Optional[Callable[[str], int]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.safety_margin < 1.0:
             raise ConfigError(f"safety_margin must be >= 1.0, got {self.safety_margin}")
-        if self.kind == BACKEND_SUPPLIED and self.count_fn is None:
-            raise ConfigError("backend-supplied counter requires count_fn")
-        if self.kind == BUILTIN and self.count_fn is not None:
-            raise ConfigError("builtin counter must not carry count_fn")
-        if self.kind not in (BUILTIN, BACKEND_SUPPLIED):
-            raise ConfigError(f"unknown counter kind: {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """``builtin``, or ``backend-supplied`` when ``count_fn`` is set."""
+        return BUILTIN if self.count_fn is None else BACKEND_SUPPLIED
 
 
 def count_tokens(counter: TokenCounter, text: str) -> int:

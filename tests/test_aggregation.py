@@ -147,5 +147,3 @@ def test_config_invariants():
         AggregationConfig(beta=-1.0)
     with pytest.raises(ConfigError):
         AggregationConfig(theta=0.0)
-    with pytest.raises(ConfigError):
-        AggregationConfig(claim_reducer="mean")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -165,7 +166,7 @@ def no_sleep(monkeypatch):
 
 
 def descriptor(url, **kw):
-    return BackendDescriptor(kind="remote", endpoint=url, **kw)
+    return BackendDescriptor(endpoint=url, **kw)
 
 
 def test_remote_embed_shape(service):
@@ -228,6 +229,43 @@ def test_protocol_error_wrong_arity(service):
         RemoteEmbedder(descriptor(service.url)).embed(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "make_call, body, message",
+    [
+        (
+            lambda d: RemoteEmbedder(d).embed(["a", "b", "c"]),
+            {"vectors": [[1.0]]},
+            "/embed returned 1 vectors for 2 texts",
+        ),
+        (
+            lambda d: RemoteNLI(d).score([("p", "h")] * 3),
+            {"scores": []},
+            "/nli returned 0 scores for 2 pairs",
+        ),
+        (
+            lambda d: RemoteClaimClassifier(d).classify(["x"] * 3),
+            [0.5, 0.5],
+            "/classify_factual returned 0 probs for 2 texts",
+        ),
+    ],
+    ids=["embed", "nli", "classify-non-object-body"],
+)
+def test_protocol_error_arity_message(service, make_call, body, message):
+    service.set_behavior(lambda path, payload: (200, body))
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        make_call(descriptor(service.url, max_batch=2))
+
+
+def test_protocol_error_dimension_differs_across_batches(service):
+    def behavior(path, payload):
+        dim = 3 if "a" in payload["texts"] else 2  # the second batch answers in another dimension
+        return 200, {"vectors": [[1.0] * dim for _ in payload["texts"]]}
+
+    service.set_behavior(behavior)
+    with pytest.raises(ProtocolError, match="disagree on dimension"):
+        RemoteEmbedder(descriptor(service.url, max_batch=2)).embed(["a", "b", "c"])
+
+
 def test_protocol_error_unnormalized_nli(service):
     service.set_behavior(
         lambda path, payload: (
@@ -245,6 +283,13 @@ def test_protocol_error_nonfinite_vector(service):
         RemoteEmbedder(descriptor(service.url)).embed(["a"])
 
 
+@pytest.mark.parametrize("vector", [["a"], [{}], [[1.0], [2.0, 3.0]]])
+def test_protocol_error_non_numeric_vector(service, vector):
+    service.set_behavior(lambda path, payload: (200, {"vectors": [vector]}))
+    with pytest.raises(ProtocolError, match="/embed vector is not numeric"):
+        RemoteEmbedder(descriptor(service.url)).embed(["a"])
+
+
 def test_protocol_error_4xx_is_not_retried(service, no_sleep):
     service.set_behavior(lambda path, payload: (404, {}))
     with pytest.raises(ProtocolError):
@@ -254,11 +299,11 @@ def test_protocol_error_4xx_is_not_retried(service, no_sleep):
 
 def test_descriptor_invariants():
     with pytest.raises(ConfigError):
-        BackendDescriptor(kind="remote", endpoint="")
+        BackendDescriptor(endpoint="")
     with pytest.raises(ConfigError):
-        BackendDescriptor(kind="remote", endpoint="http://x", timeout_ms=0)
+        BackendDescriptor(endpoint="http://x", timeout_ms=0)
     with pytest.raises(ConfigError):
-        BackendDescriptor(kind="remote", endpoint="http://x", retries=-1)
+        BackendDescriptor(endpoint="http://x", retries=-1)
 
 
 def _builtin_sidecar(path, payload):

@@ -19,9 +19,7 @@ from groundcheck.tokens import TokenCounter, builtin_token_count, count_tokens, 
 COUNTER = TokenCounter(safety_margin=1.0)
 # The builtin rule behind a backend-supplied count_fn: same counts, but the
 # chunker takes the slow path that counts each candidate substring.
-SLOW_COUNTER = TokenCounter(
-    kind="backend-supplied", safety_margin=1.3, count_fn=builtin_token_count
-)
+SLOW_COUNTER = TokenCounter(safety_margin=1.3, count_fn=builtin_token_count)
 
 
 def assert_chunk_invariants(text, chunks, config):

@@ -6,7 +6,6 @@ from groundcheck.claims import (
     classify_factual,
     filter_claims,
     heuristic_factual_prob,
-    load_greeting_lexicon,
 )
 from groundcheck.errors import BackendError, ContractError
 
@@ -98,13 +97,3 @@ def test_filter_claims_is_a_subsequence():
 def test_filter_rejects_unclassified():
     with pytest.raises(ContractError):
         filter_claims([make_claim("a", 0)], 0.5)
-
-
-def test_lexicon_file_roundtrip(tmp_path):
-    path = tmp_path / "greetings.txt"
-    path.write_text("# closers\nKind regards\nthanks a lot\n\n", encoding="utf-8")
-    lexicon = load_greeting_lexicon(path)
-    assert lexicon == ("kind regards", "thanks a lot")
-    classifier = HeuristicClaimClassifier(lexicon=lexicon)
-    assert classifier.classify(["Kind regards, the team."]) == [0.0]
-    assert classifier.classify(["Hello everyone, welcome back."]) == [1.0]

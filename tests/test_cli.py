@@ -191,6 +191,80 @@ def test_batch_missing_field_exits_3(runner, tmp_path):
     assert "context" in result.output
 
 
+BATCH_OK = {"id": "a", "context": CONTEXT, "output": "The aqueduct carried spring water."}
+
+
+@pytest.mark.parametrize(
+    "command, body, line",
+    [
+        ("batch", json.dumps({**BATCH_OK, "context": 5}).encode(), 1),
+        ("batch", (json.dumps(BATCH_OK) + "\n5\n").encode(), 2),
+        ("batch", json.dumps({**BATCH_OK, "output": 5}).encode(), 1),
+        ("batch", json.dumps(BATCH_OK).encode() + b"\n\xff\xfe\n", 2),
+        ("bench", None, None),
+        ("bench", b'{"id": "s0", "context": "caf\xe9"}\n', 1),
+    ],
+    ids=[
+        "batch-int-context",
+        "batch-scalar-line",
+        "batch-int-output",
+        "batch-not-utf8",
+        "bench-directory",
+        "bench-not-utf8",
+    ],
+)
+def test_malformed_input_exits_3_naming_file_and_line(runner, tmp_path, command, body, line):
+    data = tmp_path / "data.jsonl"
+    if body is None:
+        data.mkdir()
+    else:
+        data.write_bytes(body)
+    result = runner.invoke(main, [command, "--data", str(data)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    first = result.output.splitlines()[0]
+    assert first.startswith(f"error: {data} line {line}: " if line else f"error: cannot read {data}")
+
+
+@pytest.mark.parametrize("command", [["detect", "--output-text", "x", "--context"], ["chunk", "--input"]])
+def test_non_utf8_input_file_exits_3(runner, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 ok\n")
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 3
+    assert result.output.startswith(f"error: cannot read {path}: ")
+
+
+def test_batch_unwritable_out_exits_3(runner, tmp_path):
+    data = tmp_path / "batch.jsonl"
+    data.write_text(json.dumps(BATCH_OK) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["batch", "--data", str(data), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.output.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_batch_output_contract(runner, tmp_path):
+    data = tmp_path / "batch.jsonl"
+    records = [
+        {"id": 7, "context": CONTEXT, "output": "The aqueduct carried spring water twelve miles into the old city."},
+        {"id": 7, "context": [CONTEXT, "A second document."], "output": "Its arches were repaired."},
+        {"id": "empty", "context": [], "output": "Anything at all."},
+        {"id": "blank", "context": "   ", "output": "The aqueduct carried spring water."},
+    ]
+    data.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    serial = runner.invoke(main, ["batch", "--data", str(data), "--jobs", "1"])
+    threaded = runner.invoke(main, ["batch", "--data", str(data), "--jobs", "4"])
+    assert serial.exit_code == threaded.exit_code == 0, serial.output
+    assert serial.stdout_bytes == threaded.stdout_bytes
+    rows = [json.loads(line) for line in serial.stdout.splitlines()]
+    assert [r["id"] for r in rows] == [7, 7, "empty", "blank"]
+    assert [r["error"] is None for r in rows] == [True, True, False, True]
+    assert rows[2] == {"id": "empty", "error": "at least one context document is required"}
+    assert rows[3]["label"] == "hallucinated"
+    assert rows[3]["warnings"] == ["context produced no chunks; factual claims scored 0.0"]
+
+
 def test_machine_output_round_trips(runner, context_file):
     result = runner.invoke(
         main,

@@ -40,15 +40,13 @@ def test_counts_are_deterministic():
 
 
 def test_backend_supplied_counter():
-    counter = TokenCounter(kind="backend-supplied", safety_margin=1.0, count_fn=lambda t: len(t))
+    counter = TokenCounter(safety_margin=1.0, count_fn=lambda t: len(t))
     assert count_tokens(counter, "abcd") == 4
 
 
-def test_backend_supplied_requires_count_fn():
-    with pytest.raises(ConfigError):
-        TokenCounter(kind="backend-supplied")
-    with pytest.raises(ConfigError):
-        TokenCounter(kind="builtin", count_fn=len)
+def test_counter_kind_follows_count_fn():
+    assert TokenCounter().kind == "builtin"
+    assert TokenCounter(count_fn=len).kind == "backend-supplied"
 
 
 def test_margin_below_one_rejected():
@@ -97,9 +95,7 @@ def test_span_counter_matches_substring_count(text):
 
 def test_span_counter_calls_backend_count_fn_on_the_substring():
     seen = []
-    counter = TokenCounter(
-        kind="backend-supplied", safety_margin=1.0, count_fn=lambda t: seen.append(t) or len(t)
-    )
+    counter = TokenCounter(safety_margin=1.0, count_fn=lambda t: seen.append(t) or len(t))
     assert span_counter(counter, "abcdef")(1, 4) == 3
     assert seen == ["bcd"]
 
@@ -124,7 +120,7 @@ def test_truncate_to_budget_fits_with_non_monotone_count_fn():
     def count_fn(text):
         return len(text.split()) + (3 if text and not text[-1].isspace() else 0)
 
-    counter = TokenCounter(kind="backend-supplied", safety_margin=1.0, count_fn=count_fn)
+    counter = TokenCounter(safety_margin=1.0, count_fn=count_fn)
     text = " ".join(f"w{i}" for i in range(20))
     for budget in range(1, 15):
         out = truncate_to_budget(counter, text, budget)
