@@ -164,6 +164,9 @@ def load_samples(path: str | Path) -> list[EvalSample]:
         response = record["response"]
         if not isinstance(response, str) or not response.strip():
             raise DatasetError(f"{where}: response must be a nonempty string")
+        label = record["label_hallucinated"]
+        if not isinstance(label, bool):
+            raise DatasetError(f"{where}: label_hallucinated must be true or false")
         task_type = record.get("task_type", "other")
         if task_type not in TASK_TYPES:
             task_type = "other"
@@ -172,7 +175,7 @@ def load_samples(path: str | Path) -> list[EvalSample]:
             task_type=task_type,
             context=context,
             response=response,
-            label_hallucinated=bool(record["label_hallucinated"]),
+            label_hallucinated=label,
         )
         if sample.id in seen_ids:
             raise DatasetError(f"{where}: duplicate id {sample.id!r}")

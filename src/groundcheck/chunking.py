@@ -26,15 +26,16 @@ substring, which is slower.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .claims import Claim
 from .errors import ClaimOverflowError, ConfigError
+from .retrieval import PackingBudget
 from .tokens import SpanCount, TokenCounter, count_tokens, span_counter
 
 # Coarse to fine. The empty string is the single-character fallback level.
-DEFAULT_SEPARATOR_HIERARCHY: tuple[tuple[str, ...], ...] = (
+SEPARATOR_HIERARCHY: tuple[tuple[str, ...], ...] = (
     ("\n\n",),
     ("\n",),
     (". ", "! ", "? "),
@@ -55,17 +56,12 @@ CONTEXT_CHUNK_MAX_TOKENS = 160
 class ChunkerConfig:
     s_max: int = DEFAULT_CLAIM_MAX_TOKENS
     o_max: int = 0
-    separator_hierarchy: tuple[tuple[str, ...], ...] = DEFAULT_SEPARATOR_HIERARCHY
 
     def __post_init__(self):
         if self.s_max < 1:
             raise ConfigError(f"s_max must be >= 1, got {self.s_max}")
         if not 0 <= self.o_max < self.s_max:
             raise ConfigError(f"o_max must satisfy 0 <= o_max < s_max, got {self.o_max}")
-        if not self.separator_hierarchy:
-            raise ConfigError("separator_hierarchy must be non-empty")
-        if "" not in self.separator_hierarchy[-1]:
-            raise ConfigError("separator_hierarchy must end with the single-character level")
 
 
 @dataclass(frozen=True)
@@ -73,8 +69,7 @@ class Chunk:
     """A contiguous span of a source document.
 
     ``text == source[start:end]`` always; the chunker never rewrites
-    characters. ``doc_index`` is filled by callers that chunk a joined
-    multi-document context.
+    characters.
     """
 
     text: str
@@ -82,7 +77,6 @@ class Chunk:
     end: int
     token_count: int
     index: int
-    doc_index: Optional[int] = field(default=None, compare=False)
 
 
 def _split_points(text: str, start: int, end: int, separators: tuple[str, ...]) -> list[int]:
@@ -117,7 +111,7 @@ def _chunk_spans(text, count, config, start, end, level):
     if count(start, end) <= s_max:
         return [(start, end)]
 
-    separators = config.separator_hierarchy[level]
+    separators = SEPARATOR_HIERARCHY[level]
     if "" in separators:
         return _pack_characters(count, start, end, s_max)
 
@@ -227,52 +221,37 @@ def split_output_into_claims(
     ]
 
 
-def context_chunk_size(
-    window: int,
-    fixed_reserve: int,
-    per_chunk_reserve: int,
-    k_target: int,
-    claim_tokens: int,
-    c_min: int = CONTEXT_CHUNK_MIN_TOKENS,
-    c_max: int = CONTEXT_CHUNK_MAX_TOKENS,
-) -> int:
+def max_claim_tokens(budget: PackingBudget) -> int:
+    """Largest budgeted claim size that still admits one minimal chunk."""
+    return budget.window - budget.fixed_reserve - budget.per_chunk_reserve - CONTEXT_CHUNK_MIN_TOKENS
+
+
+def context_chunk_size(budget: PackingBudget, claim_tokens: int) -> int:
     """Chunk size calibrated so ~k_target chunks plus the claim fill the window."""
-    if claim_tokens + fixed_reserve + per_chunk_reserve + c_min > window:
+    if claim_tokens > max_claim_tokens(budget):
         raise ClaimOverflowError(
-            f"claim of {claim_tokens} tokens cannot fit the {window}-token window "
+            f"claim of {claim_tokens} tokens cannot fit the {budget.window}-token window "
             f"alongside a minimal evidence chunk",
             claim_tokens=claim_tokens,
-            window=window,
+            window=budget.window,
         )
-    c_size = (window - fixed_reserve - claim_tokens) // k_target - per_chunk_reserve
-    return max(c_min, min(c_max, c_size))
+    room = budget.window - budget.fixed_reserve - claim_tokens
+    c_size = room // budget.k_target - budget.per_chunk_reserve
+    return max(CONTEXT_CHUNK_MIN_TOKENS, min(CONTEXT_CHUNK_MAX_TOKENS, c_size))
 
 
 def chunk_context(
-    count: SpanCount,
-    document: str,
-    claim_tokens: int,
-    budget,
-    c_min: int = CONTEXT_CHUNK_MIN_TOKENS,
-    c_max: int = CONTEXT_CHUNK_MAX_TOKENS,
+    count: SpanCount, document: str, claim_tokens: int, budget: PackingBudget
 ) -> list[Chunk]:
     """Chunk a context document with size calibrated to the claim length.
 
     ``count`` is ``tokens.span_counter(counter, document)``: the pipeline
     chunks one document at several sizes and tokenizes it once for all of
-    them. ``budget`` is a retrieval.PackingBudget. Raises ClaimOverflowError when
-    the claim leaves no room for even a minimal chunk; the pipeline responds
-    by truncating the claim and retrying.
+    them. Raises ClaimOverflowError when the claim leaves no room for even a
+    minimal chunk. ``pipeline.detect`` never meets it: it truncates every
+    claim to ``max_claim_tokens`` before it chunks the context.
     """
-    c_size = context_chunk_size(
-        budget.window,
-        budget.fixed_reserve,
-        budget.per_chunk_reserve,
-        budget.k_target,
-        claim_tokens,
-        c_min=c_min,
-        c_max=c_max,
-    )
+    c_size = context_chunk_size(budget, claim_tokens)
     config = ChunkerConfig(s_max=c_size, o_max=budget.context_overlap)
     return _chunk_counted(config, document, count)
 

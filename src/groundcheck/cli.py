@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from .aggregation import AggregationConfig, HALLUCINATED, ResponseVerdict
 from .backends import BackendSet, builtin_backends, remote_backends
 from .chunking import ChunkerConfig, chunk_text, paragraph_chunks
-from .errors import DatasetError, GroundcheckError
+from .errors import ConfigError, DatasetError, GroundcheckError
 from .pipeline import DetectionRequest, PipelineConfig, detect
 from .tokens import TokenCounter
 
@@ -49,10 +49,11 @@ def _make_backends(backend: str, endpoint: str | None) -> BackendSet:
 
 
 def _make_config(theta: float, beta: float, mode: str) -> PipelineConfig:
-    return PipelineConfig(
-        aggregation=AggregationConfig(beta=beta, theta=theta),
-        mode=mode,
-    )
+    """The pipeline config of the flags; an invalid value is a usage error."""
+    try:
+        return PipelineConfig(aggregation=AggregationConfig(beta=beta, theta=theta), mode=mode)
+    except ConfigError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _render_text(verdict: ResponseVerdict) -> str:
@@ -124,11 +125,12 @@ def detect_cmd(context_files, output_file, output_text, backend, endpoint, theta
         raise click.UsageError("exactly one of --output or --output-text is required")
     documents = tuple(_read_file(p) for p in context_files)
     output = _read_file(output_file) if output_file is not None else output_text
+    config = _make_config(theta, beta, mode)
 
     try:
         verdict = detect(
             DetectionRequest(context_documents=documents, output_text=output),
-            _make_config(theta, beta, mode),
+            config,
             _make_backends(backend, endpoint),
         )
     except GroundcheckError as exc:

@@ -30,10 +30,10 @@ from .aggregation import (
 )
 from .backends import BackendSet, builtin_backends
 from .chunking import (
-    CONTEXT_CHUNK_MIN_TOKENS,
     Chunk,
     ChunkerConfig,
     chunk_context,
+    max_claim_tokens,
     split_output_into_claims,
 )
 from .claims import Claim, DEFAULT_FACTUAL_THRESHOLD, classify_factual, filter_claims
@@ -112,12 +112,7 @@ def _doc_index_for_span(doc_spans: list[tuple[int, int]], start: int, end: int) 
     return best
 
 
-def _max_claim_budget(budget: PackingBudget) -> int:
-    """Largest budgeted claim size that still admits one minimal chunk."""
-    return budget.window - budget.fixed_reserve - budget.per_chunk_reserve - CONTEXT_CHUNK_MIN_TOKENS
-
-
-def _filtered_verdict(claim: Claim) -> ClaimVerdict:
+def _unscored_verdict(claim: Claim) -> ClaimVerdict:
     return ClaimVerdict(
         claim_index=claim.claim_index,
         text=claim.text,
@@ -145,59 +140,53 @@ def detect(
     if not claims:
         return classify_response(None, config.aggregation, [], ["output produced no claims"])
 
-    # 2. Classify and filter non-factual claims.
+    # 2. Classify and filter non-factual claims. Every claim starts out with
+    # its unscored verdict, in claim order; scoring replaces the kept ones.
     try:
         classified = classify_factual(backends.claim_classifier, claims)
     except BackendError as exc:
         raise BackendError(f"claim classification stage failed: {exc}") from exc
+    verdicts = {c.claim_index: _unscored_verdict(c) for c in classified}
     kept = filter_claims(classified, config.claim_threshold)
-    filtered_out = {c.claim_index: c for c in classified if c.factual_prob < config.claim_threshold}
     if not kept:
-        verdicts = [_filtered_verdict(c) for c in classified]
         return classify_response(
-            None, config.aggregation, verdicts, ["all claims filtered as non-factual"]
+            None, config.aggregation, list(verdicts.values()), ["all claims filtered as non-factual"]
         )
 
-    # Truncate claims that would crowd evidence out of the window entirely.
-    scoring_texts: dict[int, str] = {}
-    scoring_tokens: dict[int, int] = {}
-    max_claim = _max_claim_budget(budget)
+    # Each kept claim is scored as (claim, hypothesis text, budgeted tokens);
+    # a claim that would crowd evidence out of the window entirely is
+    # truncated first.
+    records: list[tuple[Claim, str, int]] = []
+    max_claim = max_claim_tokens(budget)
     for claim in kept:
-        tokens = budgeted_count(counter, claim.text)
+        hypothesis, tokens = claim.text, budgeted_count(counter, claim.text)
         if tokens > max_claim:
-            truncated = truncate_to_budget(counter, claim.text, max_claim)
+            hypothesis = truncate_to_budget(counter, claim.text, max_claim)
+            full, tokens = tokens, budgeted_count(counter, hypothesis)
             warnings.append(
-                f"claim {claim.claim_index} truncated from {tokens} to "
-                f"{budgeted_count(counter, truncated)} budgeted tokens to fit the window"
+                f"claim {claim.claim_index} truncated from {full} to "
+                f"{tokens} budgeted tokens to fit the window"
             )
-            scoring_texts[claim.claim_index] = truncated
-            scoring_tokens[claim.claim_index] = budgeted_count(counter, truncated)
-        else:
-            scoring_texts[claim.claim_index] = claim.text
-            scoring_tokens[claim.claim_index] = tokens
+        records.append((claim, hypothesis, tokens))
 
-    # 3. Tokenize the joined context once, then chunk it once per claim-length band.
+    # 3. Tokenize the joined context once, then chunk it once per claim-length
+    # band, at the size the longest claim of the band allows.
     context, doc_spans = _join_context(request.context_documents)
-    band_of = {idx: tokens // CLAIM_BAND_TOKENS for idx, tokens in scoring_tokens.items()}
-    bands: dict[int, int] = {}
-    for idx, band in band_of.items():
-        bands[band] = max(bands.get(band, 0), scoring_tokens[idx])
     context_count = span_counter(counter, context)
-    band_chunks: dict[int, list[Chunk]] = {}
-    for band, representative in sorted(bands.items()):
-        chunks = chunk_context(context_count, context, representative, budget)
-        chunks = [
-            replace(c, doc_index=_doc_index_for_span(doc_spans, c.start, c.end))
-            for c in chunks
-        ]
-        band_chunks[band] = chunks
-
+    bands: dict[int, int] = {}
+    for _, _, tokens in records:
+        band = tokens // CLAIM_BAND_TOKENS
+        bands[band] = max(bands.get(band, 0), tokens)
+    band_chunks = {
+        band: chunk_context(context_count, context, longest, budget)
+        for band, longest in sorted(bands.items())
+    }
     if all(not chunks for chunks in band_chunks.values()):
         warnings.append("context produced no chunks; factual claims scored 0.0")
 
     # 4. Embed each distinct claim and chunk text once, in one call; then rank
     # each band's chunks for all of its claims at once.
-    texts = [scoring_texts[c.claim_index] for c in kept]
+    texts = [hypothesis for _, hypothesis, _ in records]
     for chunks in band_chunks.values():
         texts.extend(c.text for c in chunks)
     unique = list(dict.fromkeys(texts))
@@ -212,25 +201,24 @@ def detect(
     for band, chunks in band_chunks.items():
         if not chunks:
             continue
-        members = [idx for idx, b in band_of.items() if b == band]
+        members = [(c, h) for c, h, tokens in records if tokens // CLAIM_BAND_TOKENS == band]
         ranked = rank_chunks(
-            [vector_of[scoring_texts[idx]] for idx in members],
+            [vector_of[hypothesis] for _, hypothesis in members],
             [vector_of[c.text] for c in chunks],
         )
-        rankings.update(zip(members, ranked))
+        rankings.update(zip((claim.claim_index for claim, _ in members), ranked))
 
     # 5. Plan: pack every claim's evidence, then build its NLI pairs.
-    plans: list[tuple[Claim, Optional[ClaimEvidence], list[tuple[str, str]]]] = []
-    for claim in kept:
-        chunks = band_chunks[band_of[claim.claim_index]]
+    plans: list[tuple[Claim, Optional[ClaimEvidence], list[tuple[str, str]], list[Chunk]]] = []
+    for claim, hypothesis, tokens in records:
+        chunks = band_chunks[tokens // CLAIM_BAND_TOKENS]
         if not chunks:
-            plans.append((claim, None, []))
+            plans.append((claim, None, [], chunks))
             continue
 
         ranked = rankings[claim.claim_index]
-        claim_tokens = scoring_tokens[claim.claim_index]
         ranked_budgets = [apply_margin(counter, chunks[idx].token_count) for idx, _ in ranked]
-        selection = select_k(budget, claim_tokens, ranked_budgets)
+        selection = select_k(budget, tokens, ranked_budgets)
 
         truncated_top = None
         if selection.top_chunk_budget is not None:
@@ -249,12 +237,12 @@ def detect(
             selected_k=selection.k,
             truncated_top=truncated_top,
         )
-        _assert_packing_safety(counter, budget, claim_tokens, evidence, chunks)
-        pairs = nli.claim_pairs(config.mode, scoring_texts[claim.claim_index], evidence, chunks)
-        plans.append((claim, evidence, pairs))
+        _assert_packing_safety(counter, budget, tokens, evidence, chunks)
+        pairs = nli.claim_pairs(config.mode, hypothesis, evidence, chunks)
+        plans.append((claim, evidence, pairs, chunks))
 
     # 6. Score every pair of the request in one backend call.
-    claim_pairs = [pairs for _, _, pairs in plans]
+    claim_pairs = [pairs for _, _, pairs, _ in plans]
     try:
         claim_scores = nli.score_claim(backends.nli, claim_pairs)
     except BackendError as exc:
@@ -263,42 +251,31 @@ def detect(
             f"for {len(plans)} claims: {exc}"
         ) from exc
 
-    # 7a. Reduce each claim's scores to its grounding score.
-    scored: list[tuple[Claim, float, Optional[int]]] = []
-    for (claim, evidence, _), scores in zip(plans, claim_scores):
-        if evidence is None:
-            scored.append((claim, 0.0, None))
-            continue
-        probs = [s.p_entail for s in scores]
-        g = claim_score(probs)
-        if config.mode == nli.PACKED:
-            best_idx = evidence.ranked[0][0]
-        else:
-            best_idx = evidence.selected_chunk_indices()[probs.index(max(probs))]
-        scored.append((claim, g, best_idx))
-
-    # 7b. Aggregate into the response verdict.
-    verdict_entries: dict[int, ClaimVerdict] = {
-        idx: _filtered_verdict(c) for idx, c in filtered_out.items()
-    }
-    for claim, g, best_idx in scored:
-        best_doc = None
-        if best_idx is not None:
-            best_doc = band_chunks[band_of[claim.claim_index]][best_idx].doc_index
-        verdict_entries[claim.claim_index] = ClaimVerdict(
-            claim_index=claim.claim_index,
-            text=claim.text,
-            start=claim.start,
-            end=claim.end,
+    # 7. Reduce each claim's scores to its grounding score and verdict, then
+    # aggregate into the response verdict. Only the best chunk is attributed
+    # to a document.
+    grounding: list[float] = []
+    for (claim, evidence, _, chunks), scores in zip(plans, claim_scores):
+        g, best_idx, best_doc = 0.0, None, None
+        if evidence is not None:
+            probs = [s.p_entail for s in scores]
+            g = claim_score(probs)
+            if config.mode == nli.PACKED:
+                best_idx = evidence.ranked[0][0]
+            else:
+                best_idx = evidence.selected_chunk_indices()[probs.index(max(probs))]
+            best = chunks[best_idx]
+            best_doc = _doc_index_for_span(doc_spans, best.start, best.end)
+        grounding.append(g)
+        verdicts[claim.claim_index] = replace(
+            verdicts[claim.claim_index],
             label=claim_label(g, config.aggregation),
-            factual_prob=claim.factual_prob,
             grounding_score=g,
             best_chunk_index=best_idx,
             best_chunk_doc=best_doc,
         )
-    ordered = [verdict_entries[i] for i in sorted(verdict_entries)]
-    score = response_score([g for _, g, _ in scored], config.aggregation)
-    return classify_response(score, config.aggregation, ordered, warnings)
+    score = response_score(grounding, config.aggregation)
+    return classify_response(score, config.aggregation, list(verdicts.values()), warnings)
 
 
 def _assert_packing_safety(

@@ -96,22 +96,19 @@ def span_counter(counter: TokenCounter, text: str) -> SpanCount:
     return count
 
 
-def budgeted_count(counter: TokenCounter, text: str) -> int:
-    """ceil(count * safety_margin), used for window-budget checks only.
+def apply_margin(counter: TokenCounter, raw_count: int) -> int:
+    """ceil(raw_count * safety_margin), used for window-budget checks only.
 
     The 1e-9 slack absorbs float artifacts (20 * 1.3 == 26.000000000000004).
     """
-    n = count_tokens(counter, text)
-    if n == 0:
-        return 0
-    return math.ceil(n * counter.safety_margin - 1e-9)
-
-
-def apply_margin(counter: TokenCounter, raw_count: int) -> int:
-    """Budgeted equivalent of an already-known raw count."""
     if raw_count <= 0:
         return 0
     return math.ceil(raw_count * counter.safety_margin - 1e-9)
+
+
+def budgeted_count(counter: TokenCounter, text: str) -> int:
+    """Budgeted count of ``text``: its raw count with the safety margin applied."""
+    return apply_margin(counter, count_tokens(counter, text))
 
 
 def truncate_to_budget(counter: TokenCounter, text: str, max_budgeted: int) -> str:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,14 @@ def test_missing_response_names_line(tmp_path):
 def test_malformed_json_names_line(tmp_path):
     path = write_lines(tmp_path / "d.jsonl", [sample_line(0), "{not json"])
     with pytest.raises(DatasetError, match="line 2"):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("label", ["false", "true", None, 1, 0, []])
+def test_label_must_be_a_json_boolean(tmp_path, label):
+    path = write_lines(tmp_path / "d.jsonl", [sample_line(0), sample_line(1, label_hallucinated=label)])
+    message = f"{path} line 2: label_hallucinated must be true or false"
+    with pytest.raises(DatasetError, match=re.escape(message)):
         load_samples(path)
 
 

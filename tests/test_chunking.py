@@ -9,6 +9,7 @@ from groundcheck.chunking import (
     chunk_context,
     chunk_text,
     context_chunk_size,
+    max_claim_tokens,
     paragraph_chunks,
     split_output_into_claims,
 )
@@ -132,8 +133,6 @@ def test_invalid_configs_rejected():
         ChunkerConfig(s_max=10, o_max=10)
     with pytest.raises(ConfigError):
         ChunkerConfig(s_max=10, o_max=-1)
-    with pytest.raises(ConfigError):
-        ChunkerConfig(s_max=10, separator_hierarchy=(("\n\n",),))
 
 
 def test_claim_splitting_defaults_and_wrapping():
@@ -150,17 +149,23 @@ def test_claim_splitting_rejects_overlap():
 
 
 def test_context_chunk_size_arithmetic():
-    assert context_chunk_size(512, 8, 2, 4, 40) == 114
+    assert context_chunk_size(PackingBudget(512, 8, 2, 4), 40) == 114
 
 
 def test_context_chunk_size_clamps():
-    assert context_chunk_size(512, 8, 2, 4, 400) == 32  # floor(104/4)-2 = 24 -> c_min
-    assert context_chunk_size(2048, 8, 2, 4, 40) == 160  # 497 -> c_max
+    assert context_chunk_size(PackingBudget(512, 8, 2, 4), 400) == 32  # floor(104/4)-2 = 24 -> min
+    assert context_chunk_size(PackingBudget(2048, 8, 2, 4), 40) == 160  # 497 -> max
 
 
 def test_context_chunk_size_overflow():
+    budget = PackingBudget(512, 8, 2, 4)
     with pytest.raises(ClaimOverflowError):
-        context_chunk_size(512, 8, 2, 4, 480)
+        context_chunk_size(budget, 480)
+    # the largest claim max_claim_tokens admits still gets a minimal chunk
+    assert max_claim_tokens(budget) == 470
+    assert context_chunk_size(budget, 470) == 32
+    with pytest.raises(ClaimOverflowError):
+        context_chunk_size(budget, 471)
 
 
 def test_chunk_context_small_document_is_one_chunk():

@@ -11,6 +11,7 @@ CONTEXT = (
     "The aqueduct carried spring water twelve miles into the old city. "
     "Its arches were repaired with travertine blocks after the 1349 earthquake."
 )
+BATCH_OK = {"id": "a", "context": CONTEXT, "output": "The aqueduct carried spring water."}
 
 
 @pytest.fixture
@@ -88,6 +89,34 @@ def test_detect_usage_errors_exit_2(runner, context_file):
         ["detect", "--context", context_file, "--output-text", "x", "--backend", "remote"],
     )
     assert result.exit_code == 2  # remote requires an endpoint
+
+
+@pytest.mark.parametrize("command", ["detect", "batch", "bench"])
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        (["--theta", "2"], {}, "theta must be in (0,1)"),
+        (["--beta", "-1"], {}, "beta must be >= 0"),
+        ([], {"GROUNDCHECK_THETA": "0"}, "theta must be in (0,1)"),
+        ([], {"GROUNDCHECK_BETA": "-1"}, "beta must be >= 0"),
+    ],
+    ids=["theta-flag", "beta-flag", "theta-env", "beta-env"],
+)
+def test_invalid_theta_or_beta_is_a_usage_error(runner, context_file, tmp_path, command, args, env, message):
+    data = tmp_path / "data.jsonl"
+    if command == "detect":
+        base = ["detect", "--context", context_file, "--output-text", "The aqueduct carried water."]
+    elif command == "batch":
+        data.write_text(json.dumps(BATCH_OK) + "\n", encoding="utf-8")
+        base = ["batch", "--data", str(data)]
+    else:
+        synth.write_jsonl(synth.build_corpus(n=2), data)
+        base = ["bench", "--data", str(data), "--report-dir", str(tmp_path / "reports")]
+    result = runner.invoke(main, base + args, env=env)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "reports").exists()
 
 
 def test_env_vars_feed_defaults_and_flags_win(runner, context_file):
@@ -189,9 +218,6 @@ def test_batch_missing_field_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["batch", "--data", str(data)])
     assert result.exit_code == 3
     assert "context" in result.output
-
-
-BATCH_OK = {"id": "a", "context": CONTEXT, "output": "The aqueduct carried spring water."}
 
 
 @pytest.mark.parametrize(
