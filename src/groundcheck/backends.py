@@ -25,9 +25,7 @@ from __future__ import annotations
 import logging
 import re
 import time
-import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -66,30 +64,76 @@ class ClaimClassifierBackend(Protocol):
     def classify(self, texts: Sequence[str]) -> list[float]: ...
 
 
-@lru_cache(maxsize=1 << 16)
-def _trigram_bucket(trigram: str) -> int:
-    return zlib.crc32(trigram.encode("utf-8"), _TRIGRAM_SEED) % EMBEDDING_DIM
+def _crc32_table() -> np.ndarray:
+    """zlib's CRC-32 lookup table: reflected polynomial 0xEDB88320."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+# Whole texts are embedded in slices of at most this many characters (a
+# longer text is a slice of its own), which bounds the per-trigram arrays.
+_SLICE_CHARS = 1 << 14
 
 
 class MockEmbedder:
-    """Hashed-trigram embeddings: lexically similar texts rank near each other."""
+    """Hashed-trigram embeddings: lexically similar texts rank near each other.
+
+    A text's vector counts its lowercased character trigrams in
+    ``zlib.crc32(trigram.encode("utf-8"), 0x5EED) % 64`` buckets, scaled to
+    unit length (a text of fewer than three characters is the zero vector).
+    The hashes of a whole slice of texts are computed at once, so the number
+    of numpy calls depends on the number of slices, not of texts.
+    """
 
     dim = EMBEDDING_DIM
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self._embed_one(t) for t in texts]
+        lowered = [t.lower() for t in texts]
+        vectors = np.zeros((len(lowered), EMBEDDING_DIM), dtype=np.float64)
+        start = 0
+        while start < len(lowered):
+            end, chars = start + 1, len(lowered[start])
+            while end < len(lowered) and chars + len(lowered[end]) <= _SLICE_CHARS:
+                chars += len(lowered[end])
+                end += 1
+            vectors[start:end] = _trigram_counts(lowered[start:end])
+            start = end
+        # The counts are integers, so the sums of squares are exact and the
+        # norms equal np.linalg.norm of each row bit for bit.
+        norms = np.sqrt(np.sum(vectors * vectors, axis=1))
+        np.divide(vectors, norms[:, None], out=vectors, where=norms[:, None] > 0.0)
+        return list(vectors)
 
-    @staticmethod
-    def _embed_one(text: str) -> np.ndarray:
-        lowered = text.lower()
-        buckets = np.array(
-            [_trigram_bucket(lowered[i : i + 3]) for i in range(len(lowered) - 2)], dtype=np.intp
-        )
-        counts = np.bincount(buckets, minlength=EMBEDDING_DIM).astype(np.float64)
-        norm = np.linalg.norm(counts)
-        if norm == 0.0:
-            return counts
-        return counts / norm
+
+def _trigram_counts(texts: list[str]) -> np.ndarray:
+    """Per-text trigram bucket counts of already lowercased texts, as float64.
+
+    The texts are joined and UTF-8-encoded once, and each character's byte
+    offset comes from the UTF-8 lead bytes. The trigrams are grouped by byte
+    length (3 to 12); zlib's CRC-32 table loop runs over each group one byte
+    column at a time, seeded as ``zlib.crc32(data, _TRIGRAM_SEED)`` seeds it.
+    """
+    data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
+    char_starts = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    text_ids = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
+    starts = char_starts[:-3]
+    lengths = char_starts[3:] - starts
+    buckets = np.empty(starts.size, dtype=np.uint32)
+    for length in range(3, lengths.max(initial=2) + 1):
+        group = lengths == length
+        offsets = starts[group]
+        crc = np.full(offsets.size, _TRIGRAM_SEED ^ 0xFFFFFFFF, dtype=np.uint32)
+        for i in range(length):
+            crc = _CRC32_TABLE.take((crc ^ data.take(offsets + i)) & 0xFF) ^ (crc >> 8)
+        buckets[group] = (crc ^ 0xFFFFFFFF) % EMBEDDING_DIM
+    # A trigram that crosses a text boundary is counted in an extra row,
+    # which is dropped.
+    rows = np.where(text_ids[:-2] == text_ids[2:], text_ids[:-2], len(texts))
+    counts = np.bincount(rows * EMBEDDING_DIM + buckets, minlength=(len(texts) + 1) * EMBEDDING_DIM)
+    return counts[: len(texts) * EMBEDDING_DIM].reshape(len(texts), EMBEDDING_DIM).astype(np.float64)
 
 
 def content_tokens(text: str) -> set[str]:
@@ -140,6 +184,12 @@ class BackendSet:
     embedder: EmbedderBackend
     nli: NLIBackend
     claim_classifier: ClaimClassifierBackend
+
+    @property
+    def has_remote(self) -> bool:
+        """Whether some role is a remote client, whose calls wait on the network."""
+        remote = (RemoteEmbedder, RemoteNLI, RemoteClaimClassifier)
+        return any(isinstance(b, remote) for b in (self.embedder, self.nli, self.claim_classifier))
 
 
 def builtin_backends() -> BackendSet:

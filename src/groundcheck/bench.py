@@ -213,7 +213,10 @@ def detect_all(
     """Run :func:`detect` on each ``(documents, output)`` pair, in input order.
 
     A request that fails yields the :class:`GroundcheckError` it raised in
-    place of its verdict. ``jobs > 1`` runs requests on that many threads.
+    place of its verdict. ``jobs > 1`` runs requests on that many threads
+    only when some backend is a remote client: threads overlap the waits on
+    the network, while in-process backends hold the interpreter lock and run
+    slower on threads than on the calling thread.
     """
 
     def run_one(request: tuple[tuple[str, ...], str]) -> ResponseVerdict | GroundcheckError:
@@ -223,7 +226,7 @@ def detect_all(
         except GroundcheckError as exc:
             return exc
 
-    if jobs <= 1:
+    if jobs <= 1 or not backends.has_remote:
         return [run_one(r) for r in requests]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_one, requests))

@@ -92,6 +92,16 @@ backend_options = [
 ]
 
 
+jobs_option = click.option(
+    "--jobs",
+    type=int,
+    default=1,
+    show_default=True,
+    help="Requests in flight at once with --backend remote. The builtin backends "
+    "run every request on one thread, whatever this is.",
+)
+
+
 def _add_options(options):
     def wrap(fn):
         for option in reversed(options):
@@ -148,7 +158,7 @@ def detect_cmd(context_files, output_file, output_text, backend, endpoint, theta
 @click.option("--data", "data_file", required=True, type=str, help="JSONL of {id, context, output} records.")
 @click.option("--out", "out_file", type=str, default=None, help="Write verdict JSONL here instead of stdout.")
 @_add_options(backend_options)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@jobs_option
 def batch_cmd(data_file, out_file, backend, endpoint, theta, beta, mode, jobs):
     """Run detection over a JSONL file of requests; one verdict per line."""
     try:
@@ -181,7 +191,7 @@ def batch_cmd(data_file, out_file, backend, endpoint, theta, beta, mode, jobs):
 @main.command("bench")
 @click.option("--data", "data_file", required=True, type=str, help="JSONL benchmark dataset.")
 @_add_options(backend_options)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@jobs_option
 @click.option("--report-dir", type=str, default="reports", show_default=True)
 @click.option("--name", type=str, default="groundcheck", show_default=True, help="Row label in report.txt.")
 def bench_cmd(data_file, backend, endpoint, theta, beta, mode, jobs, report_dir, name):

@@ -53,6 +53,15 @@ class DetectionRequest:
     def __post_init__(self):
         if len(self.context_documents) == 0:
             raise ContractError("at least one context document is required")
+        fields = [(f"context_documents[{i}]", d) for i, d in enumerate(self.context_documents)]
+        for name, text in fields + [("output_text", self.output_text)]:
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ContractError(
+                    f"{name} is not valid Unicode: lone surrogate "
+                    f"U+{ord(text[exc.start]):04X} at character {exc.start}"
+                ) from None
 
 
 @dataclass(frozen=True)

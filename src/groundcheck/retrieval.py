@@ -136,13 +136,7 @@ def select_k(
         )
     top_cost = ranked_token_counts[0] + budget.per_chunk_reserve
     if top_cost > available:
-        top_budget = available - budget.per_chunk_reserve
-        logger.warning(
-            "top chunk (%d tokens) exceeds the remaining budget; truncating to %d",
-            ranked_token_counts[0],
-            top_budget,
-        )
-        return KSelection(k=1, top_chunk_budget=top_budget)
+        return KSelection(k=1, top_chunk_budget=available - budget.per_chunk_reserve)
     k = 0
     used = 0
     for tokens in ranked_token_counts:

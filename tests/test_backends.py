@@ -3,13 +3,16 @@ import math
 import random
 import re
 import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gen
+from groundcheck import bench
 from groundcheck.backends import (
     EMBEDDING_DIM,
     BackendDescriptor,
@@ -19,7 +22,7 @@ from groundcheck.backends import (
     RemoteClaimClassifier,
     RemoteEmbedder,
     RemoteNLI,
-    _trigram_bucket,
+    _SLICE_CHARS,
     builtin_backends,
     remote_backends,
     remote_call,
@@ -67,20 +70,42 @@ def test_mock_embedder_case_insensitive():
 
 
 def _reference_embedding(text):
-    """Per-trigram loop the bincount implementation must match bit for bit."""
+    """Per-trigram zlib loop the vectorized embedder must match bit for bit."""
     counts = np.zeros(EMBEDDING_DIM, dtype=np.float64)
     lowered = text.lower()
     for i in range(len(lowered) - 2):
-        counts[_trigram_bucket(lowered[i : i + 3])] += 1.0
+        counts[zlib.crc32(lowered[i : i + 3].encode("utf-8"), 0x5EED) % EMBEDDING_DIM] += 1.0
     norm = np.linalg.norm(counts)
     return counts if norm == 0.0 else counts / norm
 
 
-@given(st.text(max_size=300))
-def test_mock_embedder_matches_per_trigram_reference(text):
-    (vec,) = MockEmbedder().embed([text])
-    assert vec.dtype == np.float64
-    assert np.array_equal(vec, _reference_embedding(text))
+_EMBED_TEXTS = st.lists(
+    st.one_of(st.text(max_size=300), st.text(alphabet="aZ İΣς\u00e9\u0800\U0001f600", max_size=12)),
+    max_size=8,
+)
+
+
+@given(_EMBED_TEXTS)
+@example(["", "ab", "İİİ", "x\U0001f600\U0010ffffé", "ΑΣ ΑΣ."])
+def test_mock_embedder_matches_per_trigram_reference(texts):
+    vectors = MockEmbedder().embed(texts)
+    assert len(vectors) == len(texts)
+    for vec, text in zip(vectors, texts):
+        assert vec.dtype == np.float64
+        assert vec.shape == (EMBEDDING_DIM,)
+        assert vec.tobytes() == _reference_embedding(text).tobytes()
+
+
+def test_mock_embedder_slices_match_one_text_at_a_time():
+    rng = random.Random(11)
+    texts = [gen.document(rng, rng.randint(50, 400)) for _ in range(60)]
+    texts.insert(20, "Ünïcode " * (_SLICE_CHARS // 4))  # longer than a slice on its own
+    assert sum(map(len, texts)) > 3 * _SLICE_CHARS
+    embedder = MockEmbedder()
+    together = embedder.embed(texts)
+    for vec, text in zip(together, texts):
+        (alone,) = embedder.embed([text])
+        assert vec.tobytes() == alone.tobytes()
 
 
 def test_builtin_backend_set():
@@ -364,3 +389,59 @@ def test_detect_sends_nli_pairs_in_max_batch_requests(service, max_batch):
     assert len(batches) == math.ceil(pairs / max_batch) < len(scored)
     assert all(size == max_batch for size in batches[:-1])
     assert verdict.to_dict() == detect(request, config).to_dict()
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Record the thread pools ``detect_all`` starts and the threads ``detect`` runs on."""
+    pools, threads = [], set()
+    real_detect = bench.detect
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    def spy_detect(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(bench, "detect", spy_detect)
+    return pools, threads
+
+
+def _rows(results):
+    return [r.to_dict() if hasattr(r, "to_dict") else repr(r) for r in results]
+
+
+def _detect_all_requests():
+    rng = random.Random(21)
+    requests = []
+    for _ in range(6):
+        context = gen.document(rng, 200)
+        requests.append(((context,), gen.sentence(rng, 10) + " " + context[:120]))
+    requests.append(((), "No context at all."))
+    return requests
+
+
+def test_detect_all_uses_threads_for_remote_backends(service, pool_spy):
+    service.set_behavior(_builtin_sidecar)
+    pools, threads = pool_spy
+    requests, config = _detect_all_requests(), PipelineConfig()
+    serial = bench.detect_all(requests, config, remote_backends(service.url), jobs=1)
+    assert not pools and threads == {threading.get_ident()}
+    threads.clear()
+    threaded = bench.detect_all(requests, config, remote_backends(service.url), jobs=4)
+    assert len(pools) == 1 and threading.get_ident() not in threads
+    assert _rows(threaded) == _rows(serial)
+    assert _rows(serial) == _rows(bench.detect_all(requests, config, builtin_backends()))
+
+
+def test_detect_all_runs_builtin_backends_on_the_calling_thread(pool_spy):
+    pools, threads = pool_spy
+    before = threading.active_count()
+    results = bench.detect_all(_detect_all_requests(), PipelineConfig(), builtin_backends(), jobs=8)
+    assert len(results) == 7
+    assert not pools and threads == {threading.get_ident()}
+    assert threading.active_count() == before

@@ -270,6 +270,38 @@ def test_batch_unwritable_out_exits_3(runner, tmp_path):
     assert result.output.startswith(f"error: cannot write {tmp_path}: ")
 
 
+@pytest.mark.parametrize("command", ["detect", "batch", "bench"])
+def test_lone_surrogate_is_a_typed_error(runner, context_file, tmp_path, command):
+    data = tmp_path / "data.jsonl"
+    if command == "detect":
+        # argv bytes that are not UTF-8 arrive as lone surrogates
+        result = runner.invoke(main, ["detect", "--context", context_file, "--output-text", "The museum \udcff opened"])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: output_text is not valid Unicode: lone surrogate U+DCFF at character 11\n"
+        return
+    if command == "batch":
+        data.write_text(json.dumps({**BATCH_OK, "context": ["ok", "The aqueduct \ud800"]}) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["batch", "--data", str(data)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {
+            "id": "a",
+            "error": "context_documents[1] is not valid Unicode: lone surrogate U+D800 at character 13",
+        }
+        return
+    samples = synth.build_corpus(n=2)
+    synth.write_jsonl(samples, data)
+    records = [json.loads(line) for line in data.read_text(encoding="utf-8").splitlines()]
+    records[1]["context"] = "Stone bridge \udc80"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    report_dir = tmp_path / "reports"
+    result = runner.invoke(main, ["bench", "--data", str(data), "--report-dir", str(report_dir)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["metrics"]["failures"] == 1
+    (row,) = [r for r in report["samples"] if r["error"] is not None]
+    assert row["error"] == "context_documents[0] is not valid Unicode: lone surrogate U+DC80 at character 13"
+
+
 def test_batch_output_contract(runner, tmp_path):
     data = tmp_path / "batch.jsonl"
     records = [

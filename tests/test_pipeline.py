@@ -173,13 +173,16 @@ def test_long_claim_is_truncated_with_warning():
     assert verdict.claim_verdicts[0].grounding_score is not None
 
 
-def test_oversized_top_chunk_is_truncated_with_warning():
+def test_oversized_top_chunk_is_truncated_with_warning(caplog):
     # margin 1.3 inflates budgeted chunk sizes past the small window's budget
     context = " ".join(f"stone{i}" for i in range(400))
     output = " ".join(f"stone{i}" for i in range(60)) + "."
     config = PipelineConfig(budget=PackingBudget(window=128))
-    verdict = detect(DetectionRequest(context_documents=(context,), output_text=output), config)
-    assert any("top chunk" in w for w in verdict.warnings)
+    with caplog.at_level("DEBUG", logger="groundcheck"):
+        verdict = detect(DetectionRequest(context_documents=(context,), output_text=output), config)
+    assert verdict.warnings == ("top chunk for claim 0 truncated to 41 budgeted tokens",)
+    # the verdict warning names the claim; the log does not repeat it
+    assert not [r for r in caplog.records if r.name == "groundcheck.retrieval"]
 
 
 def test_backend_failure_carries_stage():
