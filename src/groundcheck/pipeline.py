@@ -164,11 +164,11 @@ def detect(
 
     # Each kept claim is scored as (claim, hypothesis text, budgeted tokens);
     # a claim that would crowd evidence out of the window entirely is
-    # truncated first.
+    # truncated first. The claim chunker already counted each claim's text.
     records: list[tuple[Claim, str, int]] = []
     max_claim = max_claim_tokens(budget)
     for claim in kept:
-        hypothesis, tokens = claim.text, budgeted_count(counter, claim.text)
+        hypothesis, tokens = claim.text, apply_margin(counter, claim.token_count)
         if tokens > max_claim:
             hypothesis = truncate_to_budget(counter, claim.text, max_claim)
             full, tokens = tokens, budgeted_count(counter, hypothesis)

@@ -10,6 +10,13 @@ are used only for budgeting, never for reporting.
 The builtin rule is character-local: the tokens of any substring are exactly
 the whole-text tokens it intersects, clipped. So a text is tokenized once and
 every span count after that is two bisections (:func:`span_counter`).
+
+``_TOKEN_RE`` is the reference definition of a token. :func:`span_counter`
+finds the same tokens with a fixed number of numpy calls instead of one
+regex match per token: each character gets one of three classes (whitespace,
+part of an alphanumeric run, a token by itself), taken from a table built
+with the regex's own character classes, and the token bounds are where the
+classes change.
 """
 
 from __future__ import annotations
@@ -20,11 +27,27 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Alphanumeric runs (underscore excluded), then underscore and any other
 # non-space character as single tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+|_|[^\w\s]", re.UNICODE)
+
+# Character classes of _TOKEN_RE, one character at a time.
+_SPACE, _ALNUM, _SINGLE = 0, 1, 2
+_ALNUM_RE = re.compile(r"[^\W_]", re.UNICODE)
+_SPACE_RE = re.compile(r"\s", re.UNICODE)
+
+
+def _char_class(ch: str) -> int:
+    if _ALNUM_RE.match(ch):
+        return _ALNUM
+    return _SPACE if _SPACE_RE.match(ch) else _SINGLE
+
+
+_ASCII_CLASS = np.array([_char_class(chr(c)) for c in range(128)], dtype=np.uint8)
 
 BUILTIN = "builtin"
 BACKEND_SUPPLIED = "backend-supplied"
@@ -74,18 +97,15 @@ SpanCount = Callable[[int, int], int]
 def span_counter(counter: TokenCounter, text: str) -> SpanCount:
     """``count(a, b) == count_tokens(counter, text[a:b])`` for ``0 <= a, b <= len(text)``.
 
-    The builtin counter tokenizes ``text`` once and answers each span by
-    bisection over the sorted token starts and ends. A backend-supplied
-    ``count_fn`` is called once per span, on the substring.
+    The builtin counter tokenizes ``text`` once, with a fixed number of numpy
+    calls (:func:`_token_bounds`), and answers each span by bisection over
+    the sorted token starts and ends. A backend-supplied ``count_fn`` is
+    called once per span, on the substring.
     """
     if counter.count_fn is not None:
         count_fn = counter.count_fn
         return lambda a, b: count_fn(text[a:b])
-    starts: list[int] = []
-    ends: list[int] = []
-    for m in _TOKEN_RE.finditer(text):
-        starts.append(m.start())
-        ends.append(m.end())
+    starts, ends = _token_bounds(text)
 
     def count(a: int, b: int) -> int:
         # Tokens starting before b, minus those ending at or before a.
@@ -94,6 +114,33 @@ def span_counter(counter: TokenCounter, text: str) -> SpanCount:
         return bisect_left(starts, b) - bisect_right(ends, a)
 
     return count
+
+
+def _token_bounds(text: str) -> tuple[list[int], list[int]]:
+    """Start and end offsets of the ``_TOKEN_RE`` matches in ``text``, in order.
+
+    A token starts at every single-character token and at every alphanumeric
+    character whose predecessor is not alphanumeric; it ends after every
+    single-character token and after every alphanumeric character whose
+    successor is not alphanumeric. ASCII classes come from a table built at
+    import; each distinct non-ASCII code point is classified once.
+    """
+    # One code point per character; surrogatepass keeps lone surrogates.
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    classes = _ASCII_CLASS.take(codes, mode="clip")  # non-ASCII set below
+    wide = codes >= 128
+    if wide.any():
+        values, inverse = np.unique(codes[wide], return_inverse=True)
+        table = np.array([_char_class(chr(v)) for v in values.tolist()], dtype=np.uint8)
+        classes[wide] = table[inverse]
+    alnum = np.zeros(len(codes) + 2, dtype=bool)
+    alnum[1:-1] = classes == _ALNUM
+    single = classes == _SINGLE
+    run_start = alnum[1:-1] & ~alnum[:-2]
+    run_end = alnum[1:-1] & ~alnum[2:]
+    starts = np.flatnonzero(single | run_start)
+    ends = np.flatnonzero(single | run_end) + 1
+    return starts.tolist(), ends.tolist()
 
 
 def apply_margin(counter: TokenCounter, raw_count: int) -> int:
@@ -114,22 +161,28 @@ def budgeted_count(counter: TokenCounter, text: str) -> int:
 def truncate_to_budget(counter: TokenCounter, text: str, max_budgeted: int) -> str:
     """Longest prefix of ``text`` whose budgeted count fits ``max_budgeted``.
 
-    Binary search assumes counts never fall as a prefix grows. A subword
-    ``count_fn`` can break that, so the result is checked and shortened
-    until it fits.
+    Prefixes are counted through one :func:`span_counter` over ``text``, so
+    the builtin counter tokenizes it once. Binary search assumes counts never
+    fall as a prefix grows. A subword ``count_fn`` can break that, so the
+    result is checked and shortened until it fits.
     """
     if max_budgeted <= 0:
         return ""
-    if budgeted_count(counter, text) <= max_budgeted:
+    count = span_counter(counter, text)
+
+    def fits(n: int) -> bool:
+        return apply_margin(counter, count(0, n)) <= max_budgeted
+
+    if fits(len(text)):
         return text
     lo, hi = 0, len(text)  # invariant: prefix of length lo fits, hi does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if budgeted_count(counter, text[:mid]) <= max_budgeted:
+        if fits(mid):
             lo = mid
         else:
             hi = mid
-    out = text[:lo].rstrip()
-    while out and budgeted_count(counter, out) > max_budgeted:
-        out = out[:-1].rstrip()
-    return out
+    n = len(text[:lo].rstrip())
+    while n and not fits(n):
+        n = len(text[: n - 1].rstrip())
+    return text[:n]

@@ -1,8 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from groundcheck.errors import ConfigError
 from groundcheck.tokens import (
+    _TOKEN_RE,
+    _token_bounds,
     TokenCounter,
     apply_margin,
     budgeted_count,
@@ -13,6 +17,18 @@ from groundcheck.tokens import (
 )
 
 COUNTER = TokenCounter(safety_margin=1.0)
+
+# Characters the builtin rule is easy to get wrong on: separators that
+# isspace() treats as whitespace, spaces outside ASCII, a zero-width space, a
+# combining mark, a letter whose lowercase is longer, CJK, an astral emoji, an
+# Arabic-Indic digit, the underscore and a lone surrogate.
+TRICKY = "a Z9\x1c\x1f\xa0\u3000\u200b\u0301\u0130\u5317\u4eac\U0001f600\u0663_,\ud800"
+# Any code point, lone surrogates (category Cs) included, plus the tricky ones.
+UNICODE_CHARS = st.one_of(st.characters(exclude_categories=()), st.sampled_from(TRICKY))
+
+
+def _regex_bounds(text):
+    return [(m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def test_empty_text_counts_zero():
@@ -85,7 +101,38 @@ def test_budgeted_never_below_raw(text):
     assert budgeted_count(counter, text) >= count_tokens(counter, text)
 
 
-@given(st.text(max_size=40))
+@given(st.text(UNICODE_CHARS))
+@example("")
+@example("\x1c\x1f")
+@example("a\xa0b\u3000c\u200bd")
+@example("e\u0301 \u0130 \u5317\u4eac \U0001f600 \u0663")
+@example("a_b")
+def test_token_bounds_match_the_regex(text):
+    starts, ends = _token_bounds(text)
+    assert list(zip(starts, ends)) == _regex_bounds(text)
+    assert all(type(i) is int for i in starts + ends)
+    assert span_counter(TokenCounter(), text)(0, len(text)) == builtin_token_count(text)
+
+
+def test_token_bounds_match_the_regex_on_a_long_mixed_text():
+    rng = random.Random(7)
+    ascii_runs = ["word", "Z9", " ", "\n", "_", ",", "\x1c"]
+    other_runs = ["\u5317\u4eac", "e\u0301", "\u0130", "\xa0", "\u3000", "\u200b", "\U0001f600"]
+    runs = ascii_runs + other_runs + ["\u0663\u0663", "\ud800", "\u00e9t\u00e9"]
+    pieces, size = [], 0
+    while size <= 1 << 16:
+        piece = rng.choice(runs) * rng.randint(1, 5)
+        pieces.append(piece)
+        size += len(piece)
+    text = "".join(pieces)
+    assert list(zip(*_token_bounds(text))) == _regex_bounds(text)
+    count = span_counter(TokenCounter(), text)
+    for _ in range(200):
+        a, b = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+        assert count(a, b) == builtin_token_count(text[a:b])
+
+
+@given(st.text(UNICODE_CHARS, max_size=40))
 def test_span_counter_matches_substring_count(text):
     count = span_counter(TokenCounter(), text)
     for a in range(len(text) + 1):
